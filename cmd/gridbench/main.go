@@ -6,19 +6,10 @@
 //	gridbench [-scale quick|full] [-run all|table1|table2|table3|fig3|fig4|
 //	          fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|
 //	          warmup|oom|ablations]
-//	gridbench contention [-benchtime 100000x] [-workers 0] [-out FILE]
-//	gridbench match [-benchtime 2000x] [-selectors 1,10,100,1000] [-out FILE]
-//	gridbench fanout [-benchtime 2000x] [-subs 10,100,1000] [-cpu 1,4] [-out FILE]
 //
 // -scale full reproduces the paper's 30-minute runs (slower); quick keeps
 // the same connection counts and rates with a shorter measurement window.
-// The contention subcommand measures the lock-free read path against the
-// LockedReadPath baseline on live cores (see contention.go); it feeds
-// BENCH_contention.json. The match subcommand measures the content-based
-// matching index against the LinearMatch baseline (see match.go); it
-// feeds BENCH_match.json. The fanout subcommand measures the parallel
-// fan-out engine and its egress coalescing against the SerialFanout
-// baseline (see fanout.go); it feeds BENCH_fanout.json.
+// The live daemons' benchmark is perfbench (see perfbench/README.md).
 package main
 
 import (
@@ -33,23 +24,6 @@ import (
 )
 
 func main() {
-	// Subcommand dispatch: `gridbench contention` measures live lock
-	// contention (see contention.go) and `gridbench match` the matching
-	// index (see match.go); everything else is the simulator's
-	// figure/table runner.
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "contention":
-			contentionMain(os.Args[2:])
-			return
-		case "match":
-			matchMain(os.Args[2:])
-			return
-		case "fanout":
-			fanoutMain(os.Args[2:])
-			return
-		}
-	}
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or full")
 	runFlag := flag.String("run", "all", "comma-separated experiment ids (see doc comment)")
 	flag.Parse()

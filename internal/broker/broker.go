@@ -41,45 +41,43 @@
 // goroutines provided (a) the Env implementation is itself safe for
 // concurrent use and (b) frames of one connection are delivered by a
 // single goroutine at a time (every transport reads a connection with
-// one reader). Lock order is durableMu → shard.mu → {conn.mu, sub.mu,
-// durableState.mu}; the latter three are leaf locks — nothing is ever
-// acquired while holding one, and they never nest with each other. Env
+// one reader). Lock order is durableMu → shard.mu → durableState.mu →
+// sub.mu, with conn.mu a leaf taken under shard.mu. sub.mu is a leaf
+// too: nothing is acquired while holding it. A durable's lock is held
+// across delivery to its active subscription, so attach, detach and
+// publish decide "deliver or buffer" atomically (durables.go). Env
 // methods are invoked with broker locks held (on the lock-free publish
-// path, only a subscription or durable leaf lock) and must not call
+// path, only a subscription or durable lock) and must not call
 // back into the broker synchronously (bindings that need to drop a
 // connection from inside Env.Send defer the OnConnClose to another
 // goroutine).
 //
-// Topic publishes do not take shard locks at all by default: routing
-// reads a copy-on-write snapshot published through an atomic pointer
+// Topic publishes do not take shard locks at all: routing reads a
+// copy-on-write snapshot published through an atomic pointer
 // (snapshot.go), and per-subscriber delivery state synchronizes on the
-// leaf locks. The shard lock remains the write-side lock for every
-// index mutation (subscribe/unsubscribe/durable churn) and for queue
-// operations, whose enqueue/drain cycle is mutation-heavy.
-// Config.LockedReadPath restores lock-held routing as the measured
-// baseline, and Stats meters both paths (ReadLockAcquisitions,
-// ShardLock*).
+// subscription and durable locks. The shard lock is the write-side
+// lock for every index mutation (subscribe/unsubscribe/durable churn)
+// and for queue operations, whose enqueue/drain cycle is
+// mutation-heavy. Stats meters the shard locks (ShardLock*).
 //
 // With a single calling goroutine — the discrete-event simulator's
-// kernel, or a binding in Config.SerialCore mode — execution is
-// bit-for-bit identical for any shard count, which is what keeps the
-// paper reproduction (TestExperimentDeterminism) byte-identical: the
-// shards are lock domains, not worker goroutines, so parallelism only
-// arises when multiple callers actually overlap.
+// kernel — execution is bit-for-bit identical for any shard count,
+// which is what keeps the paper reproduction (TestExperimentDeterminism)
+// byte-identical: the shards are lock domains, not worker goroutines,
+// so parallelism only arises when multiple callers actually overlap.
 //
 // Shard-safe API (callable from any goroutine in sharded use): OnFrame,
 // OnConnOpen, OnConnClose, InjectForwarded, CountForwardOut,
 // CountForwardOutN, Stats, PendingCount, Topics, TopicSubscribers,
 // TopicSelectorGroups, ShardOf, SetForwarder, SetInterestFunc,
-// FanoutPool. The forwarding seam is shard-safe:
-// registration is atomic, and both callbacks fire under the destination
-// shard's lock (lock order durableMu → shard.mu), so an observer that
-// guards its own state with a lock *below* the shard locks — acquired
-// under them, never holding it while calling back into the broker's
-// locked paths — composes race-free (package brokernet is the reference
-// observer). The only remaining serial-only path is
-// Config.LegacyLinearScan routing, which scans the global durable table
-// without shard partitioning.
+// FanoutPool. The forwarding seam is shard-safe: registration is
+// atomic, the interest callback fires under the destination shard's
+// lock (lock order durableMu → shard.mu), and the forwarder fires on
+// the publishing goroutine — under the shard lock for queues, with no
+// broker lock for topics. An observer that guards its own state with a
+// lock *below* the shard locks — acquired under them, never holding it
+// while calling back into the broker's locked paths — composes
+// race-free (package brokernet is the reference observer).
 //
 // # Subscription index
 //
@@ -95,8 +93,9 @@
 // instead of every durable in the broker. All index structures are
 // ordered slices (subscribe order; groups by first appearance), which
 // makes fan-out order — and therefore the discrete-event simulation —
-// deterministic. Config.LegacyLinearScan restores the pre-index scan as a
-// baseline for A/B benchmarks and equivalence tests.
+// deterministic. The executable specification the index is tested
+// against lives in refmodel_test.go: a linear scan in subscribe order
+// with interpreted selector evaluation.
 //
 // # Zero-copy fan-out
 //
@@ -105,12 +104,11 @@
 // and queue backlogs all share it, so a 1000-subscriber fan-out costs
 // zero message copies instead of 1000 deep clones. Deliver frames come
 // from a pool (wire.GetDeliver) and are returned by the transport that
-// consumes them; transports that cannot guarantee consume-exactly-once
-// (the simulator, whose unreliable transports retransmit frames) set
-// Config.DisableDeliverPool and receive GC-managed frames instead.
+// consumes them; an Env that cannot guarantee consume-exactly-once
+// (the simulator, whose unreliable transports retransmit frames)
+// declares itself a SerialEnv and receives GC-managed frames instead.
 // Clone is reserved for paths that genuinely need a private mutable
-// copy. Config.CloneDeliveries restores the per-delivery deep copy as a
-// baseline for the zero-copy benchmarks.
+// copy.
 //
 // # Parallel fan-out
 //
@@ -124,8 +122,7 @@
 // matched order); no cross-connection order is promised, and the
 // publish blocks until every chunk completes, so per-publisher ordering
 // across consecutive publishes is unchanged. Smaller fan-outs, and all
-// fan-outs under Config.SerialFanout or any serial/locked baseline
-// mode, take the original inline per-frame loop, which keeps
+// fan-outs over a SerialEnv, take the inline per-frame loop, which keeps
 // single-caller execution — and the simulator's figures — byte-
 // identical. See fanplan.go for the exact ordering argument and
 // stats.go for the fan-out and egress meters.
@@ -142,13 +139,13 @@ import (
 	"gridmon/internal/wire"
 )
 
-// Env abstracts the resources a broker consumes. With a serial binding
-// (the sim kernel, or a TCP binding in Config.SerialCore mode) the
-// implementation may be single-threaded; a binding that calls the broker
-// from multiple goroutines must provide an Env that is safe for
-// concurrent use. Send/Alloc/Free/Now are called with broker shard locks
-// held and must not call back into the broker synchronously; AllocConn
-// and FreeConn are serialized by the broker's session lock.
+// Env abstracts the resources a broker consumes. An Env must be safe
+// for concurrent use unless its SerialEnv method (see SerialEnv)
+// returns true; a binding that calls the broker from multiple
+// goroutines must provide a concurrent one. Send/Alloc/Free/Now are
+// called with broker locks held and must not call back into the broker
+// synchronously; AllocConn and FreeConn are serialized by the broker's
+// session lock.
 type Env interface {
 	// Now returns the current time in nanoseconds (virtual or wall).
 	Now() int64
@@ -169,6 +166,19 @@ type Env interface {
 	Free(n int64)
 }
 
+// SerialEnv is the optional interface through which an Env declares
+// that it runs on a single goroutine and may keep a frame after Send
+// returns (the simulator, whose unreliable transports retransmit
+// frames). New checks it once. A broker over a SerialEnv runs every
+// fan-out as the inline per-frame loop, because fan-out workers would
+// call the Env concurrently, and emits GC-managed Deliver frames
+// instead of pooled ones, because pooled frames must be consumed
+// exactly once. An Env without the method gets pooled frames and the
+// parallel fan-out engine.
+type SerialEnv interface {
+	SerialEnv() bool
+}
+
 // Config tunes broker resource behaviour.
 type Config struct {
 	// ID names the broker (used in CONNECTED and broker-network frames).
@@ -187,55 +197,11 @@ type Config struct {
 	MaxDurableBacklog int
 	// Shards partitions the destination layer into this many
 	// lock-guarded shards keyed by destination-name hash. 0 and 1 both
-	// mean a single shard — the serial core, the default for the
-	// deterministic simulation. Sharding changes which publishes can
+	// mean a single shard, the default for the deterministic
+	// simulation. Sharding changes which publishes can
 	// proceed concurrently, never what any single operation does: with
 	// one calling goroutine the broker behaves identically for any S.
 	Shards int
-	// SerialCore restores the pre-shard architecture as an A/B
-	// baseline (same pattern as LegacyLinearScan/CloneDeliveries): it
-	// forces a single shard, and bindings that honour it (internal/jms)
-	// funnel every frame through one event-loop goroutine instead of
-	// dispatching reader goroutines straight into the shards.
-	SerialCore bool
-	// DisableDeliverPool makes the broker emit GC-managed Deliver
-	// frames instead of pooled ones (wire.GetDeliver). Pooled frames
-	// require a transport that consumes each frame exactly once and
-	// then releases it; transports that may retransmit or indefinitely
-	// hold frames — the simulator's unreliable datagram channels — set
-	// this and leave reclamation to the garbage collector.
-	DisableDeliverPool bool
-	// LegacyLinearScan restores the pre-index publish path: a linear
-	// scan over every topic subscription with tree-walking selector
-	// evaluation per candidate, and a scan over every durable in the
-	// system. It exists as the measured baseline for the fan-out
-	// benchmarks and for index-equivalence tests; production
-	// configurations leave it false. Serial-only: the durable scan
-	// reads the global durable table without shard partitioning.
-	LegacyLinearScan bool
-	// CloneDeliveries restores the pre-zero-copy fan-out: a private deep
-	// copy of the published message per delivery and per stored backlog
-	// entry, instead of sharing the one frozen message by reference. It
-	// exists as the measured baseline for the zero-copy benchmarks;
-	// production configurations leave it false.
-	CloneDeliveries bool
-	// LockedReadPath restores the locked publish read path as an A/B
-	// baseline (same pattern as SerialCore/LegacyLinearScan): topic
-	// routing reads the shard's indexes under the shard lock instead of
-	// the lock-free copy-on-write snapshot. Behaviour is identical for
-	// any single caller — only contention (and the lock meters in
-	// Stats) differs. LegacyLinearScan implies it.
-	LockedReadPath bool
-	// LinearMatch disables the content-based matching index on the
-	// snapshot publish path (same A/B-baseline pattern as
-	// LockedReadPath): every selector group and buffering durable of
-	// the topic is evaluated per message instead of only the candidates
-	// the predindex discrimination index emits. Behaviour is identical
-	// for any caller — candidates are a superset and are visited in the
-	// same first-appearance order — only the MatchIndex* meters in
-	// Stats and the per-publish evaluation count differ. The locked and
-	// legacy baselines never use the index regardless of this flag.
-	LinearMatch bool
 	// ParallelFanoutThreshold is the matched-target count at or above
 	// which a topic publish hands its fan-out to the parallel engine
 	// (fanplan.go): targets are grouped into per-connection runs, runs
@@ -243,20 +209,9 @@ type Config struct {
 	// each multi-delivery run is emitted as one wire.DeliverBatch
 	// instead of per-subscriber Deliver frames. Fan-outs below the
 	// threshold execute the serial per-frame loop unchanged, so
-	// single-subscriber latency is untouched. 0 means the default (64);
-	// the engine is active only on the snapshot read path with a
-	// thread-safe Env — SerialFanout, SerialCore, LockedReadPath,
-	// LegacyLinearScan and CloneDeliveries all disable it.
+	// single-subscriber latency is untouched. 0 means the default (64).
+	// A SerialEnv never uses the engine.
 	ParallelFanoutThreshold int
-	// SerialFanout keeps today's serial per-frame fan-out loop as the
-	// measured A/B baseline (same pattern as LinearMatch /
-	// LockedReadPath): no worker pool, no egress batching. Behaviour is
-	// identical per connection — only the Fanout*/Egress* meters in
-	// Stats and the frame envelopes handed to Env.Send differ (batched
-	// runs arrive as one *wire.DeliverBatch; the stream bytes a client
-	// sees are the same either way). Bindings whose Env is not safe for
-	// concurrent use (the simulator) force this on.
-	SerialFanout bool
 }
 
 // DefaultConfig returns the configuration used in the paper reproduction.
@@ -276,14 +231,11 @@ var ErrConnRefused = errors.New("broker: connection refused (out of memory)")
 
 // Forwarder lets a broker-network layer observe local publishes and inject
 // remote ones; see package brokernet. Shard-safe: OnLocalPublish runs on
-// the publishing goroutine, before local delivery. On the default
-// lock-free read path no shard lock is held, so the ordering guarantee
-// is per-publisher (each publisher's messages reach peers in publish
-// order, which is all JMS promises); in the LockedReadPath /
-// LegacyLinearScan baselines it runs under the destination shard's
-// lock, making peer fan-out for one destination totally ordered with
-// that destination's local deliveries. The implementation must not call
-// back into the broker's locked paths
+// the publishing goroutine, before local delivery. For topics no shard
+// lock is held, so the ordering guarantee is per-publisher (each
+// publisher's messages reach peers in publish order, which is all JMS
+// promises); for queues it runs under the destination shard's lock.
+// The implementation must not call back into the broker's locked paths
 // (OnFrame/OnConnOpen/OnConnClose/InjectForwarded) from inside the
 // callback; atomic counter methods (CountForwardOut, Stats) are fine.
 type Forwarder interface {
@@ -325,10 +277,13 @@ type Broker struct {
 	// candidate buffers and probe adapters, recycled across publishes.
 	matchScratch sync.Pool
 
+	// serialEnv records that env implements SerialEnv and returned
+	// true: Deliver frames are then GC-managed instead of pooled.
+	serialEnv bool
+
 	// Parallel fan-out engine (fanplan.go): worker pool, engage
-	// threshold and pooled per-publish plans. fanPool is nil when the
-	// engine is disabled (SerialFanout or any serial/locked baseline) —
-	// the publish path checks that one pointer.
+	// threshold and pooled per-publish plans. fanPool is nil over a
+	// SerialEnv — the publish path checks that one pointer.
 	fanPool      *fanout.Pool
 	fanThreshold int
 	fanPlans     sync.Pool
@@ -344,22 +299,17 @@ func New(env Env, cfg Config) *Broker {
 	if cfg.ID == "" {
 		cfg.ID = "broker"
 	}
-	n := cfg.Shards
-	if cfg.SerialCore || n < 1 {
-		n = 1
-	}
+	n := max(cfg.Shards, 1)
 	b := &Broker{env: env, cfg: cfg, durables: make(map[string]*durableState)}
+	if se, ok := env.(SerialEnv); ok {
+		b.serialEnv = se.SerialEnv()
+	}
 	b.sessions.init()
 	b.shards = make([]*shard, n)
 	for i := range b.shards {
 		b.shards[i] = newShard()
 	}
-	// The parallel fan-out engine rides the snapshot read path only: the
-	// serial and locked baselines keep the historical loop, and
-	// CloneDeliveries is per-frame by definition (each delivery owns a
-	// private copy; a batch shares one message).
-	if !cfg.SerialFanout && !cfg.SerialCore && !cfg.LockedReadPath &&
-		!cfg.LegacyLinearScan && !cfg.CloneDeliveries {
+	if !b.serialEnv {
 		b.fanPool = fanout.New(0)
 		b.fanThreshold = cfg.ParallelFanoutThreshold
 		if b.fanThreshold <= 0 {
@@ -369,18 +319,14 @@ func New(env Env, cfg Config) *Broker {
 	return b
 }
 
-// FanoutPool exposes the broker's parallel fan-out pool (nil when the
-// engine is disabled), so bindings can share it for their own egress
+// FanoutPool exposes the broker's parallel fan-out pool (nil over a
+// SerialEnv), so bindings can share it for their own egress
 // fan-outs — brokernet peer forwarding chunks its peer set over the
 // same pool.
 func (b *Broker) FanoutPool() *fanout.Pool { return b.fanPool }
 
 // ID returns the broker's identifier.
 func (b *Broker) ID() string { return b.cfg.ID }
-
-// Config returns the broker's effective configuration (bindings force
-// some fields, e.g. the simulator host disables the Deliver-frame pool).
-func (b *Broker) Config() Config { return b.cfg }
 
 // SetForwarder installs the broker-network hook. Shard-safe:
 // registration is atomic and takes effect for every publish that
@@ -439,9 +385,6 @@ func (b *Broker) TopicSelectorGroups(name string) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if t := sh.topics[name]; t != nil {
-		if b.cfg.LegacyLinearScan {
-			return len(t.legacy)
-		}
 		return len(t.groups)
 	}
 	return 0
@@ -508,9 +451,8 @@ func (b *Broker) OnFrame(id ConnID, f wire.Frame) {
 func (b *Broker) handlePublish(c *conn, v wire.Publish) {
 	// The broker owns the message from here on: freeze it so the one
 	// value can be shared by reference across forwarding, every local
-	// delivery, and every stored backlog entry. (routeLocal runs the
-	// broker-network forwarder under the destination shard's lock, so
-	// peer brokers receive the sealed message too.)
+	// delivery, and every stored backlog entry. (routeLocal hands the
+	// same sealed message to the broker-network forwarder.)
 	m := v.Msg.Freeze()
 	b.stats.published.Add(1)
 	b.routeLocal(m, true)

@@ -11,45 +11,34 @@ import (
 	"gridmon/internal/wire"
 )
 
-// TestSnapshotChurnEquivalence is the randomized churn equivalence
-// storm for the lock-free read path: concurrent subscribe/unsubscribe/
-// durable-recreate churn while publishers hammer the same topics, run
-// once per read-path mode. Delivery *during* the storm is inherently
-// racy (a publish concurrent with a subscribe may legitimately land on
-// either side of it, in both modes), so the storm phase asserts safety
-// only — no races under -race, balanced heap at teardown, no lost
-// allocations from publishes racing drops. Then the storm quiesces, a
-// deterministic subscriber set attaches, and a known message batch is
-// published from one goroutine: the phase-2 delivered multisets must be
-// identical between snapshot and locked modes, proving the churned-up
-// snapshot state converged to exactly the locked index state.
+// TestSnapshotChurnEquivalence is the randomized churn storm for the
+// lock-free read path: concurrent subscribe/unsubscribe/durable-
+// recreate churn while publishers hammer the same topics. Delivery
+// *during* the storm is inherently racy (a publish concurrent with a
+// subscribe may legitimately land on either side of it), so the storm
+// phase asserts safety only — no races under -race, balanced heap at
+// teardown, no lost allocations from publishes racing drops, no
+// read-path shard locks. Then the storm quiesces, a deterministic
+// subscriber set attaches, and a known message batch is published from
+// one goroutine: the deliveries must equal the reference model's for
+// the same probe, proving the churned-up snapshot state converged to
+// an empty index.
 func TestSnapshotChurnEquivalence(t *testing.T) {
-	snap := runChurnStorm(t, func(cfg *Config) {})
-	lock := runChurnStorm(t, func(cfg *Config) { cfg.LockedReadPath = true })
-	if !reflect.DeepEqual(snap, lock) {
-		t.Fatalf("post-churn probe deliveries diverge:\nsnapshot: %v\nlocked:   %v", snap, lock)
-	}
+	runChurnStorm(t, []string{"", "id < 50", "id >= 50"})
 }
 
-// TestMatchIndexChurnEquivalence runs the same churn storm with the
-// matching index on (the default) and off (LinearMatch): the storm
-// phase races concurrent index rebuilds against indexed publishes under
-// -race, and the quiesced probe deliveries must be identical — the
-// index state converged by churn must route exactly like the linear
-// scan.
+// TestMatchIndexChurnEquivalence runs the churn storm with selectors
+// the matching index keys on, so concurrent index rebuilds race
+// indexed publishes under -race, and the quiesced probe must route
+// exactly like the reference model's linear scan.
 func TestMatchIndexChurnEquivalence(t *testing.T) {
-	indexed := runChurnStorm(t, func(cfg *Config) {})
-	linear := runChurnStorm(t, func(cfg *Config) { cfg.LinearMatch = true })
-	if !reflect.DeepEqual(indexed, linear) {
-		t.Fatalf("post-churn probe deliveries diverge:\nindexed: %v\nlinear:  %v", indexed, linear)
-	}
+	runChurnStorm(t, []string{"id = 7", "id IN (1, 2, 3)", "id > 90", "", "id = 50 OR id = 51"})
 }
 
-// runChurnStorm is the shared churn driver: concurrent subscribe/
-// unsubscribe/durable-recreate churn under publish load, then a
-// deterministic quiesced probe whose ordered deliveries are returned
-// for cross-mode comparison.
-func runChurnStorm(t *testing.T, mutate func(*Config)) map[ConnID][]string {
+// runChurnStorm runs the churn storm, with subscriptions drawn from
+// selectors, against each concurrent production variant, and checks
+// the quiesced probe against the reference model.
+func runChurnStorm(t *testing.T, selectors []string) {
 	t.Helper()
 	const (
 		churners  = 6
@@ -63,13 +52,42 @@ func runChurnStorm(t *testing.T, mutate func(*Config)) map[ConnID][]string {
 		topics[i] = message.Topic(fmt.Sprintf("t%d", i))
 	}
 
-	run := func() map[ConnID][]string {
-		env := newRaceEnv()
-		cfg := DefaultConfig("churn")
-		cfg.Shards = 8
-		mutate(&cfg)
-		locked := cfg.LockedReadPath
-		b := New(env, cfg)
+	probes := []struct {
+		conn ConnID
+		dest message.Destination
+		sel  string
+	}{
+		{301, topics[0], ""},
+		{302, topics[0], "id < 50"},
+		{303, topics[1], "id >= 50"},
+		{304, topics[2], "id = 7"},
+		{305, topics[3], "id < 25"},
+	}
+	const pubConn = ConnID(400)
+	probe := func(b brokerAPI) {
+		for i, p := range probes {
+			if err := b.OnConnOpen(p.conn); err != nil {
+				t.Fatal(err)
+			}
+			b.OnFrame(p.conn, wire.Subscribe{SubID: int64(i + 1), Dest: p.dest, Selector: p.sel})
+		}
+		if err := b.OnConnOpen(pubConn); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(42))
+		for i := 0; i < probeMsgs; i++ {
+			m := message.NewText("probe")
+			m.ID = fmt.Sprintf("p2-%d", i)
+			m.Dest = topics[rng.Intn(4)]
+			m.SetProperty("id", message.Int(int32(rng.Intn(100))))
+			b.OnFrame(pubConn, wire.Publish{Seq: int64(i), Msg: m})
+		}
+	}
+	ref := newRefBroker(DefaultConfig("churn"))
+	probe(ref)
+
+	for _, v := range concurrentVariants {
+		b, env := v.newBroker(DefaultConfig("churn"))
 
 		// --- Phase 1: churn storm under concurrent publishing.
 		var wg sync.WaitGroup
@@ -92,7 +110,7 @@ func runChurnStorm(t *testing.T, mutate func(*Config)) map[ConnID][]string {
 						f := wire.Subscribe{
 							SubID:    nextSub,
 							Dest:     topics[rng.Intn(len(topics))],
-							Selector: []string{"", "id < 50", "id >= 50"}[rng.Intn(3)],
+							Selector: selectors[rng.Intn(len(selectors))],
 						}
 						if rng.Intn(3) == 0 {
 							f.Durable = true
@@ -155,62 +173,29 @@ func runChurnStorm(t *testing.T, mutate func(*Config)) map[ConnID][]string {
 		b.OnConnClose(sweep)
 
 		// --- Phase 2: deterministic probe over the quiesced broker.
-		probes := []struct {
-			conn ConnID
-			dest message.Destination
-			sel  string
-		}{
-			{301, topics[0], ""},
-			{302, topics[0], "id < 50"},
-			{303, topics[1], "id >= 50"},
-			{304, topics[2], ""},
-			{305, topics[3], "id < 25"},
-		}
-		for i, p := range probes {
-			if err := b.OnConnOpen(p.conn); err != nil {
-				t.Fatal(err)
+		probe(b)
+		for _, p := range probes {
+			if got, want := env.out.messages(p.conn), ref.out.messages(p.conn); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: probe conn %d deliveries diverge from the reference model:\n got  %v\n want %v",
+					v, p.conn, got, want)
 			}
-			b.OnFrame(p.conn, wire.Subscribe{SubID: int64(i + 1), Dest: p.dest, Selector: p.sel})
-		}
-		pubConn := ConnID(400)
-		if err := b.OnConnOpen(pubConn); err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(42))
-		for i := 0; i < probeMsgs; i++ {
-			m := message.NewText("probe")
-			m.ID = fmt.Sprintf("p2-%d", i)
-			m.Dest = topics[rng.Intn(4)]
-			m.SetProperty("id", message.Int(int32(rng.Intn(100))))
-			b.OnFrame(pubConn, wire.Publish{Seq: int64(i), Msg: m})
 		}
 
-		// Collect each probe's ordered phase-2 message IDs, then tear
-		// everything down; the shared heap must balance to zero or a
-		// snapshot-path delivery leaked past a drop.
-		got := make(map[ConnID][]string)
+		// Tear everything down; the shared heap must balance to zero or
+		// a snapshot-path delivery leaked past a drop.
 		for _, p := range probes {
-			r := env.rec(p.conn)
-			r.mu.Lock()
-			got[p.conn] = append([]string(nil), r.ids...)
-			r.mu.Unlock()
 			env.drainAcks(b, p.conn)
 			b.OnConnClose(p.conn)
 		}
 		b.OnConnClose(pubConn)
 		if used := env.heap.Used(); used != 0 {
-			t.Fatalf("locked=%v: heap not balanced after teardown: %d bytes live", locked, used)
+			t.Fatalf("%v: heap not balanced after teardown: %d bytes live", v, used)
 		}
 		if n := b.PendingCount(); n != 0 {
-			t.Fatalf("locked=%v: pending after teardown: %d", locked, n)
+			t.Fatalf("%v: pending after teardown: %d", v, n)
 		}
-		if !locked {
-			if rl := b.Stats().ReadLockAcquisitions; rl != 0 {
-				t.Fatalf("snapshot mode took %d read-path shard locks", rl)
-			}
+		if rl := b.Stats().ReadLockAcquisitions; rl != 0 {
+			t.Fatalf("%v: %d read-path shard locks", v, rl)
 		}
-		return got
 	}
-
-	return run()
 }

@@ -11,6 +11,7 @@ import (
 
 	"gridmon/internal/message"
 	"gridmon/internal/selector"
+	"gridmon/internal/wire"
 )
 
 type durableState struct {
@@ -22,13 +23,19 @@ type durableState struct {
 	topic string
 	sel   *selector.Selector
 
-	// mu is a leaf lock guarding the buffering state: the lock-free
-	// publish path appends to the backlog with no shard lock held.
-	// active is written under both the topic shard's lock and mu;
-	// holding either is enough to read it.
-	mu      sync.Mutex
-	active  *subscription // nil while disconnected
-	backlog []storedMsg
+	// mu guards the delivery state below and is held across every
+	// delivery to the active subscription (lock order mu → sub.mu).
+	// Attach, detach and publish therefore agree on each message: it
+	// is either delivered to the subscription active when the publisher
+	// takes mu, or appended to the backlog, which the next attach
+	// replays before any later message is delivered live. active is
+	// written under both the topic shard's lock and mu; holding either
+	// is enough to read it.
+	mu        sync.Mutex
+	active    *subscription // nil while disconnected
+	replaying bool          // an attach has sent SubOK but not yet replayed the backlog
+	gone      bool          // unsubscribed: stale routes must not buffer into it
+	backlog   []storedMsg
 }
 
 // attachDurable resolves (creating on first use) the durable state for a
@@ -37,8 +44,9 @@ type durableState struct {
 // on a topic change, moves to the new topic's shard. It fails when the
 // durable name is already active on another subscription (JMS allows one
 // active consumer per durable subscription). The caller holds durableMu
-// and, on success, sets d.active under the topic shard's lock — until
-// then the durable keeps buffering, so no message is lost in between.
+// and, on success, activates the durable under the topic shard's lock
+// (activateDurable) — until then it keeps buffering, so no message is
+// lost in between.
 func (b *Broker) attachDurable(sub *subscription) (*durableState, bool) {
 	d := b.durables[sub.durableName]
 	if d == nil {
@@ -76,7 +84,7 @@ func (b *Broker) attachDurable(sub *subscription) (*durableState, bool) {
 			// Unreachable from any shard index here; only the directory
 			// (which we hold via durableMu) still points at d. Stale
 			// snapshot routes may still reference it, which is why the
-			// topic rewrite happens under d.mu — storeDurable checks it.
+			// topic rewrite happens under d.mu — deliverDurable checks it.
 			d.mu.Lock()
 			d.topic = sub.dest.Name
 			d.sel = sub.sel
@@ -121,18 +129,78 @@ func (b *Broker) unindexDurable(sh *shard, d *durableState) {
 	}
 }
 
-// storeDurable buffers a message for a disconnected durable subscriber,
-// under the durable's leaf lock (the snapshot publish path stores with
-// no shard lock held). The re-checks guard the RCU races: a consumer
-// that attached after the caller's route was built owns delivery now,
-// and a recreate that moved the durable to another topic must not
-// receive a stale old-topic message. On the locked paths both
-// conditions were already verified under the shard lock, so the checks
-// never fire there and behaviour is unchanged.
-func (b *Broker) storeDurable(d *durableState, m *message.Message, cost int64) {
+// activateDurable makes sub the durable's consumer and replays the
+// backlog buffered while it was disconnected. The route that lists sub
+// is published before SubOK, so a publish the client issues after
+// seeing SubOK reaches the durable. Until the replay, publishers that
+// reach the durable append to the backlog (replaying is set), so every
+// message buffered before the live stream resumes is delivered first,
+// in order. SubOK is sent without d.mu held: a binding may block in
+// Send on a publish that needs it. Shard lock held.
+func (b *Broker) activateDurable(sh *shard, d *durableState, sub *subscription) {
+	d.mu.Lock()
+	d.active = sub
+	d.replaying = true
+	d.mu.Unlock()
+	b.refreshTopicRoute(sh, d.topic)
+	b.env.Send(sub.conn.id, wire.SubOK{SubID: sub.id})
+
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.active != nil || d.topic != m.Dest.Name {
+	d.replaying = false
+	backlog := d.backlog
+	d.backlog = nil
+	if len(backlog) > 0 {
+		if j := b.loadJournal(); j != nil {
+			j.DurableFlushed(d.name)
+		}
+	}
+	for _, sm := range backlog {
+		b.env.Free(sm.cost)
+		b.deliverLive(sub, sm.msg, sm.cost)
+	}
+}
+
+// detachDurable ends sub's activation of d; unsubscribe also destroys
+// the durable's state. The detach happens under d.mu, so a publisher
+// holding it either delivers to sub before the detach or buffers after
+// it. The caller holds durableMu and the shard lock, and removes sub
+// from the topic index.
+func (b *Broker) detachDurable(sh *shard, d *durableState, sub *subscription, unsubscribe bool) {
+	d.mu.Lock()
+	d.active = nil
+	b.detach(sub)
+	if unsubscribe {
+		for _, sm := range d.backlog {
+			b.env.Free(sm.cost)
+		}
+		d.backlog = nil
+		d.gone = true
+	}
+	d.mu.Unlock()
+	if unsubscribe {
+		delete(b.durables, d.name)
+		b.unindexDurable(sh, d)
+		if j := b.loadJournal(); j != nil {
+			j.DurableUnsubscribed(d.name)
+		}
+	}
+}
+
+// deliverDurable routes one matched message to a durable subscription:
+// live to its active consumer, or into the backlog while it is
+// disconnected or an attach is replaying. Both decisions are made
+// under d.mu (see durableState). The re-checks guard stale routes: a
+// durable unsubscribed, or recreated on another topic, after the
+// caller's route was built must not buffer the message.
+func (b *Broker) deliverDurable(d *durableState, m *message.Message, cost int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.gone || d.topic != m.Dest.Name {
+		return
+	}
+	if d.active != nil && !d.replaying {
+		b.deliverLive(d.active, m, cost)
 		return
 	}
 	if b.cfg.MaxDurableBacklog > 0 && len(d.backlog) >= b.cfg.MaxDurableBacklog {
@@ -143,7 +211,7 @@ func (b *Broker) storeDurable(d *durableState, m *message.Message, cost int64) {
 		b.stats.droppedOOM.Add(1)
 		return
 	}
-	d.backlog = append(d.backlog, storedMsg{msg: b.shareOrClone(m), cost: cost})
+	d.backlog = append(d.backlog, storedMsg{msg: m, cost: cost})
 	if j := b.loadJournal(); j != nil {
 		j.DurableStored(d.name, m)
 	}

@@ -10,100 +10,101 @@ import (
 	"gridmon/internal/wire"
 )
 
-// Serial-vs-parallel fan-out equivalence: the engine promises that for
-// any single caller, per-connection delivery transcripts and every
-// mode-independent counter are identical whether a fan-out runs as the
-// serial per-frame loop or as per-connection runs across the worker
-// pool. The storm drives randomized subscribe/publish/ack/unsubscribe/
-// connection-churn traffic through one broker per mode — same seed,
-// same ops — and compares transcripts, stats, pending and heap.
+// Fan-out equivalence: the engine promises that for any single caller,
+// per-subscription delivery sequences and every counter the reference
+// model specifies are the same whether a fan-out runs as the inline
+// per-frame loop or as per-connection runs across the worker pool. The
+// storm drives randomized subscribe/publish/ack/unsubscribe/
+// connection-churn traffic through the reference model and the chosen
+// production variants — same seed, same ops — and compares them.
 
 // fanoutStormSelectors gives the storm a mix of fast-set and selector
 // subscriptions, so plans mix fast members with group members.
 var fanoutStormSelectors = []string{"", "", "id < 500", "id >= 300", "region = 'eu'"}
 
-// runFanoutStorm drives the deterministic storm against one broker and
-// returns its env. Conns 1..nConns are subscribers; conn 100 publishes.
-func runFanoutStorm(t *testing.T, seed int64, mut func(*Config)) (*Broker, *raceEnv) {
+// runFanoutEquivalence drives the deterministic fan-out storm through
+// the reference model and the given variants. Conns 1..6 are
+// subscribers; conn 100 publishes.
+func runFanoutEquivalence(t *testing.T, variants []variant) {
 	t.Helper()
-	env := newRaceEnv()
-	cfg := DefaultConfig("fanstorm")
-	cfg.Shards = 4
-	mut(&cfg)
-	b := New(env, cfg)
-
-	const nConns = 6
-	rng := rand.New(rand.NewSource(seed))
-	topics := []string{"t0", "t1", "t2"}
-	open := make(map[ConnID]bool)
-	for c := ConnID(1); c <= nConns; c++ {
-		if err := b.OnConnOpen(c); err != nil {
-			t.Fatal(err)
-		}
-		open[c] = true
-	}
-	if err := b.OnConnOpen(100); err != nil {
-		t.Fatal(err)
-	}
-	type subRef struct {
-		conn ConnID
-		id   int64
-	}
-	var subs []subRef
-	nextSub := int64(0)
-
-	for op := 0; op < 900; op++ {
-		switch k := rng.Intn(10); {
-		case k < 4: // subscribe
-			c := ConnID(rng.Intn(nConns) + 1)
-			if !open[c] {
-				continue
-			}
-			nextSub++
-			b.OnFrame(c, wire.Subscribe{
-				SubID:    nextSub,
-				Dest:     message.Topic(topics[rng.Intn(len(topics))]),
-				Selector: fanoutStormSelectors[rng.Intn(len(fanoutStormSelectors))],
+	for seed := int64(1); seed <= 5; seed++ {
+		rig := newSpecRig(DefaultConfig("fanstorm"), variants)
+		const nConns = 6
+		rng := rand.New(rand.NewSource(seed))
+		topics := []string{"t0", "t1", "t2"}
+		open := make(map[ConnID]bool)
+		openConn := func(c ConnID) {
+			rig.do(func(b brokerAPI) {
+				if err := b.OnConnOpen(c); err != nil {
+					t.Fatal(err)
+				}
 			})
-			subs = append(subs, subRef{conn: c, id: nextSub})
-		case k < 8: // publish + ack feedback
-			m := message.NewText("payload")
-			m.ID = fmt.Sprintf("ID:storm/%d", op)
-			m.Dest = message.Topic(topics[rng.Intn(len(topics))])
-			m.SetProperty("id", message.Int(int32(rng.Intn(1000))))
-			if rng.Intn(2) == 0 {
-				m.SetProperty("region", message.String("eu"))
-			} else {
-				m.SetProperty("region", message.String("us"))
+			open[c] = true
+		}
+		ackAll := func(c ConnID) {
+			for _, a := range rig.ref.out.takeAcks(c, 0) {
+				rig.do(func(b brokerAPI) { b.OnFrame(c, a) })
 			}
-			b.OnFrame(100, wire.Publish{Seq: int64(op), Msg: m})
-			if rng.Intn(3) == 0 {
-				for c := ConnID(1); c <= nConns; c++ {
-					if open[c] {
-						env.drainAcks(b, c)
+		}
+		for c := ConnID(1); c <= nConns; c++ {
+			openConn(c)
+		}
+		openConn(100)
+		type subRef struct {
+			conn ConnID
+			id   int64
+		}
+		var subs []subRef
+		nextSub := int64(0)
+
+		for op := 0; op < 900; op++ {
+			switch k := rng.Intn(10); {
+			case k < 4: // subscribe
+				c := ConnID(rng.Intn(nConns) + 1)
+				if !open[c] {
+					continue
+				}
+				nextSub++
+				f := wire.Subscribe{
+					SubID:    nextSub,
+					Dest:     message.Topic(topics[rng.Intn(len(topics))]),
+					Selector: fanoutStormSelectors[rng.Intn(len(fanoutStormSelectors))],
+				}
+				rig.do(func(b brokerAPI) { b.OnFrame(c, f) })
+				subs = append(subs, subRef{conn: c, id: nextSub})
+			case k < 8: // publish + ack feedback
+				id := fmt.Sprintf("ID:storm/%d", op)
+				dest := message.Topic(topics[rng.Intn(len(topics))])
+				props := map[string]message.Value{
+					"id":     message.Int(int32(rng.Intn(1000))),
+					"region": message.String([]string{"eu", "us"}[rng.Intn(2)]),
+				}
+				rig.do(func(b brokerAPI) { publishOn(b, 100, id, dest, props) })
+				if rng.Intn(3) == 0 {
+					for c := ConnID(1); c <= nConns; c++ {
+						if open[c] {
+							ackAll(c)
+						}
 					}
 				}
-			}
-		case k < 9: // unsubscribe a random live subscription
-			if len(subs) == 0 {
-				continue
-			}
-			i := rng.Intn(len(subs))
-			s := subs[i]
-			subs = append(subs[:i], subs[i+1:]...)
-			if open[s.conn] {
-				b.OnFrame(s.conn, wire.Unsubscribe{SubID: s.id})
-			}
-		default: // bounce a connection (subs drop, deliveries stop)
-			c := ConnID(rng.Intn(nConns) + 1)
-			if open[c] {
-				env.drainAcks(b, c)
-				b.OnConnClose(c)
-				// Acks recorded but not yet fed back die with the conn.
-				r := env.rec(c)
-				r.mu.Lock()
-				r.tags = nil
-				r.mu.Unlock()
+			case k < 9: // unsubscribe a random live subscription
+				if len(subs) == 0 {
+					continue
+				}
+				i := rng.Intn(len(subs))
+				s := subs[i]
+				subs = append(subs[:i], subs[i+1:]...)
+				if open[s.conn] {
+					rig.do(func(b brokerAPI) { b.OnFrame(s.conn, wire.Unsubscribe{SubID: s.id}) })
+				}
+			default: // bounce a connection (subs drop, deliveries stop)
+				c := ConnID(rng.Intn(nConns) + 1)
+				if !open[c] {
+					openConn(c)
+					continue
+				}
+				ackAll(c)
+				rig.do(func(b brokerAPI) { b.OnConnClose(c) })
 				open[c] = false
 				kept := subs[:0]
 				for _, s := range subs {
@@ -112,67 +113,33 @@ func runFanoutStorm(t *testing.T, seed int64, mut func(*Config)) (*Broker, *race
 					}
 				}
 				subs = kept
-			} else {
-				if err := b.OnConnOpen(c); err != nil {
-					t.Fatal(err)
-				}
-				open[c] = true
 			}
 		}
-	}
-	// Quiesce: feed every outstanding ack back.
-	for c := ConnID(1); c <= nConns; c++ {
-		if open[c] {
-			env.drainAcks(b, c)
-		}
-	}
-	return b, env
-}
-
-// runFanoutEquivalence compares two storm runs configured by mutA/mutB.
-func runFanoutEquivalence(t *testing.T, mutA, mutB func(*Config)) {
-	t.Helper()
-	for seed := int64(1); seed <= 5; seed++ {
-		bA, envA := runFanoutStorm(t, seed, mutA)
-		bB, envB := runFanoutStorm(t, seed, mutB)
-		for c := ConnID(1); c <= 6; c++ {
-			rA, rB := envA.rec(c), envB.rec(c)
-			if len(rA.ids) != len(rB.ids) {
-				t.Fatalf("seed %d conn %d: %d vs %d deliveries", seed, c, len(rA.ids), len(rB.ids))
-			}
-			for i := range rA.ids {
-				if rA.ids[i] != rB.ids[i] {
-					t.Fatalf("seed %d conn %d delivery %d: %q vs %q", seed, c, i, rA.ids[i], rB.ids[i])
-				}
+		// Quiesce: feed every outstanding ack back.
+		for c := ConnID(1); c <= nConns; c++ {
+			if open[c] {
+				ackAll(c)
 			}
 		}
-		if sA, sB := clearLockMeters(bA.Stats()), clearLockMeters(bB.Stats()); sA != sB {
-			t.Fatalf("seed %d: stats diverge\nA: %+v\nB: %+v", seed, sA, sB)
-		}
-		if pA, pB := bA.PendingCount(), bB.PendingCount(); pA != pB {
-			t.Fatalf("seed %d: pending %d vs %d", seed, pA, pB)
-		}
-		if uA, uB := envA.heap.Used(), envB.heap.Used(); uA != uB {
-			t.Fatalf("seed %d: heap %d vs %d", seed, uA, uB)
-		}
+		rig.check(t, fmt.Sprintf("seed %d", seed))
 	}
 }
 
 // TestFanoutSerialParallelEquivalenceRandomized pins the headline
-// contract: SerialFanout vs the parallel engine forced through the pool
-// for every fan-out (threshold 1) agree on all of it.
+// contract: the inline loop of a serial Env and the parallel engine
+// forced through the pool for every fan-out (threshold 1) both match
+// the reference model.
 func TestFanoutSerialParallelEquivalenceRandomized(t *testing.T) {
-	runFanoutEquivalence(t,
-		func(c *Config) { c.SerialFanout = true },
-		func(c *Config) { c.ParallelFanoutThreshold = 1 })
+	runFanoutEquivalence(t, []variant{
+		{shards: 1, serialEnv: true}, {shards: 8, serialEnv: true},
+		{shards: 1, threshold: 1}, {shards: 8, threshold: 1},
+	})
 }
 
 // TestFanoutThresholdEquivalenceRandomized: the default threshold
-// (mixed inline/pooled execution) agrees with always-pooled.
+// (mixed inline/pooled execution) matches the reference model too.
 func TestFanoutThresholdEquivalenceRandomized(t *testing.T) {
-	runFanoutEquivalence(t,
-		func(c *Config) {},
-		func(c *Config) { c.ParallelFanoutThreshold = 1 })
+	runFanoutEquivalence(t, []variant{{shards: 1}, {shards: 8}})
 }
 
 // TestFanoutParallelChurnStress hammers the parallel engine from 8
@@ -183,7 +150,7 @@ func TestFanoutThresholdEquivalenceRandomized(t *testing.T) {
 // panics on unbalanced frees, the counting DeliverBatch pool panics on
 // a double release, and -race (CI) checks the locking.
 func TestFanoutParallelChurnStress(t *testing.T) {
-	env := newRaceEnv()
+	env := newSpecEnv(false)
 	cfg := DefaultConfig("fanchurn")
 	cfg.Shards = 4
 	cfg.ParallelFanoutThreshold = 8 // engage the pool on small fan-outs too

@@ -16,7 +16,7 @@
 // construction — a connection's subscriptions live in exactly one run,
 // runs keep matched order, and one worker owns a whole run. What the
 // engine relaxes is cross-connection interleaving and the emission
-// point: deliverCost emits inside the sub.mu hold (tag-ordered per
+// point: deliverLive emits inside the sub.mu hold (tag-ordered per
 // subscription even across racing publishers), while a batched run
 // allocates tags under each sub.mu in turn and emits after release. Tag
 // *allocation* order is still serialized per subscription; with
@@ -27,8 +27,8 @@
 // documents for the lock-free read path.
 //
 // The engine requires an Env that is safe for concurrent use, because
-// chunk workers call Env.Alloc/Send. Bindings with single-threaded Envs
-// (the simulator) force Config.SerialFanout.
+// chunk workers call Env.Alloc/Send; a SerialEnv (the simulator) never
+// engages it.
 
 package broker
 
@@ -148,7 +148,9 @@ func (b *Broker) execFanPlan(p *fanPlan, m *message.Message, cost int64) {
 // the exact per-frame path; longer runs allocate tags per subscription
 // under each leaf lock in turn, then emit one DeliverBatch for the
 // whole connection (see the package comment on the emission-ordering
-// relaxation). Skipped subscriptions (detached, backlog cap, OOM)
+// relaxation). Durable subscriptions leave the batch: their delivery
+// is decided under the durable's lock (deliverDurable). Skipped
+// subscriptions (detached, backlog cap, OOM)
 // account exactly as the serial loop does; a run whose every delivery
 // was skipped releases its batch here — otherwise the transport that
 // consumes the batch releases it, the same exactly-once ownership rule
@@ -158,9 +160,13 @@ func (b *Broker) deliverRun(r *fanRun, m *message.Message, cost int64) {
 		b.deliverCost(r.subs[0], m, cost)
 		return
 	}
-	batch := b.getDeliverBatch()
+	batch := wire.GetDeliverBatch()
 	batch.Msg = m
 	for _, sub := range r.subs {
+		if sub.durable != nil {
+			b.deliverDurable(sub.durable, m, cost)
+			continue
+		}
 		sub.mu.Lock()
 		if sub.detached {
 			sub.mu.Unlock()
@@ -185,27 +191,10 @@ func (b *Broker) deliverRun(r *fanRun, m *message.Message, cost int64) {
 		batch.Entries = append(batch.Entries, wire.DeliverEntry{SubID: sub.id, Tag: tag})
 	}
 	if len(batch.Entries) == 0 {
-		b.putDeliverBatch(batch)
+		wire.PutDeliverBatch(batch)
 		return
 	}
 	b.stats.egressFlushes.Add(1)
 	b.stats.egressFrames.Add(uint64(len(batch.Entries)))
 	b.env.Send(r.connID, batch)
-}
-
-// getDeliverBatch / putDeliverBatch honour Config.DisableDeliverPool
-// the same way getDeliver does: pooled envelopes only for transports
-// that consume exactly once.
-func (b *Broker) getDeliverBatch() *wire.DeliverBatch {
-	if b.cfg.DisableDeliverPool {
-		return new(wire.DeliverBatch)
-	}
-	return wire.GetDeliverBatch()
-}
-
-func (b *Broker) putDeliverBatch(batch *wire.DeliverBatch) {
-	if b.cfg.DisableDeliverPool {
-		return
-	}
-	wire.PutDeliverBatch(batch)
 }

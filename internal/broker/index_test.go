@@ -2,7 +2,6 @@ package broker
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -10,22 +9,9 @@ import (
 	"gridmon/internal/wire"
 )
 
-// Tests for the subscription index: the indexed publish path must be
-// observably identical to the pre-index linear scan (preserved as
-// Config.LegacyLinearScan) across publish / unsubscribe / durable
-// interleavings — same per-subscription delivery sequences, same stats.
-
-func newIndexedAndLegacy(t *testing.T) (*Broker, *fakeEnv, *Broker, *fakeEnv) {
-	t.Helper()
-	envI := newFakeEnv(0)
-	cfgI := DefaultConfig("b1")
-	bI := New(envI, cfgI)
-	envL := newFakeEnv(0)
-	cfgL := DefaultConfig("b1")
-	cfgL.LegacyLinearScan = true
-	bL := New(envL, cfgL)
-	return bI, envI, bL, envL
-}
+// Tests for the subscription index: selector grouping, group
+// maintenance on unsubscribe and durable reindexing, and indexed
+// routing against the reference model (refmodel_test.go).
 
 // deliveredIDs extracts, per subscription, the ordered message IDs
 // delivered on a connection.
@@ -39,7 +25,7 @@ func deliveredIDs(env *fakeEnv, c ConnID) map[int64][]string {
 	return out
 }
 
-func publishOn(b *Broker, c ConnID, id string, dest message.Destination, props map[string]message.Value) {
+func publishOn(b brokerAPI, c ConnID, id string, dest message.Destination, props map[string]message.Value) {
 	m := message.NewText("payload")
 	m.ID = id
 	m.Dest = dest
@@ -202,105 +188,16 @@ func pendingHeapUsed(b *Broker) int64 {
 	return n
 }
 
-// TestIndexParityRandomized drives an identical randomized interleaving
-// of subscribes, unsubscribes, durable attach/detach cycles and publishes
-// through an indexed broker and a legacy linear-scan broker, then
-// asserts identical per-subscription delivery sequences and stats.
+// TestIndexParityRandomized drives the randomized operation storm with
+// duplicated selectors (which share one selector group), constant-TRUE
+// selectors (the fast set) and selectors on missing properties through
+// every production variant and the reference model.
 func TestIndexParityRandomized(t *testing.T) {
-	selectors := []string{
+	runSpecStorm(t, []string{
 		"", "TRUE", "1 = 1",
 		"id < 50", "id >= 50", "id < 50", // duplicates exercise grouping
 		"name LIKE 'gen-%'", "id BETWEEN 20 AND 60",
 		"region IN ('us', 'eu') AND id < 80",
 		"missing IS NULL AND id < 90",
-	}
-	for seed := int64(1); seed <= 5; seed++ {
-		bI, envI, bL, envL := newIndexedAndLegacy(t)
-		rng := rand.New(rand.NewSource(seed))
-
-		const conns = 8
-		for c := ConnID(1); c <= conns; c++ {
-			for _, b := range []*Broker{bI, bL} {
-				if err := b.OnConnOpen(c); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		topics := []message.Destination{message.Topic("t1"), message.Topic("t2")}
-		nextSub := int64(0)
-		type subInfo struct {
-			conn ConnID
-			id   int64
-		}
-		var live []subInfo
-		durableCycle := 0
-
-		for op := 0; op < 400; op++ {
-			switch r := rng.Intn(10); {
-			case r < 3: // subscribe
-				nextSub++
-				c := ConnID(1 + rng.Intn(conns-1)) // conn 8 reserved for publishing
-				f := wire.Subscribe{
-					SubID:    nextSub,
-					Dest:     topics[rng.Intn(len(topics))],
-					Selector: selectors[rng.Intn(len(selectors))],
-				}
-				bI.OnFrame(c, f)
-				bL.OnFrame(c, f)
-				live = append(live, subInfo{conn: c, id: nextSub})
-			case r < 4: // unsubscribe
-				if len(live) == 0 {
-					continue
-				}
-				i := rng.Intn(len(live))
-				s := live[i]
-				live = append(live[:i], live[i+1:]...)
-				bI.OnFrame(s.conn, wire.Unsubscribe{SubID: s.id})
-				bL.OnFrame(s.conn, wire.Unsubscribe{SubID: s.id})
-			case r < 5: // durable attach / detach cycle via a dedicated conn
-				durableCycle++
-				nextSub++
-				f := wire.Subscribe{
-					SubID:       nextSub,
-					Dest:        topics[durableCycle%len(topics)],
-					Selector:    "id < 70",
-					Durable:     true,
-					DurableName: fmt.Sprintf("dur-%d", durableCycle%3),
-				}
-				c := ConnID(1 + rng.Intn(conns-1))
-				bI.OnFrame(c, f)
-				bL.OnFrame(c, f)
-				if rng.Intn(2) == 0 {
-					bI.OnFrame(c, wire.Unsubscribe{SubID: nextSub})
-					bL.OnFrame(c, wire.Unsubscribe{SubID: nextSub})
-				} else {
-					live = append(live, subInfo{conn: c, id: nextSub})
-				}
-			default: // publish
-				id := fmt.Sprintf("m%d", op)
-				props := map[string]message.Value{
-					"id":     message.Int(int32(rng.Intn(100))),
-					"name":   message.String([]string{"gen-1", "probe-2"}[rng.Intn(2)]),
-					"region": message.String([]string{"us", "eu", "ap"}[rng.Intn(3)]),
-				}
-				dest := topics[rng.Intn(len(topics))]
-				publishOn(bI, conns, id, dest, props)
-				publishOn(bL, conns, id, dest, props)
-			}
-		}
-
-		for c := ConnID(1); c <= conns; c++ {
-			gi, gl := deliveredIDs(envI, c), deliveredIDs(envL, c)
-			if !reflect.DeepEqual(gi, gl) {
-				t.Fatalf("seed %d conn %d: indexed deliveries %v != legacy %v", seed, c, gi, gl)
-			}
-		}
-		// The lock meters legitimately differ across read-path modes
-		// (that difference is the point of the meters); everything else
-		// must match exactly.
-		si, sl := clearLockMeters(bI.Stats()), clearLockMeters(bL.Stats())
-		if si != sl {
-			t.Fatalf("seed %d: indexed stats %+v != legacy stats %+v", seed, si, sl)
-		}
-	}
+	})
 }

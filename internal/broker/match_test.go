@@ -8,78 +8,71 @@ import (
 	"gridmon/internal/wire"
 )
 
-// Tests for the content-based matching index on the publish path. The
-// obligations: indexed routing must be observably identical to the
-// LinearMatch baseline — including Stats' SelectorRejected, which the
-// indexed path bulk-accounts for skipped groups — and the Match*
-// meters must prove the index actually skips non-candidate groups.
+// Tests for the content-based matching index on the publish path:
+// indexed routing must match the reference model — including Stats'
+// SelectorRejected, which the indexed path bulk-accounts for skipped
+// groups — and the Match* meters must prove the index skips
+// non-candidate groups.
 
 // TestMatchIndexLinearEquivalenceRandomized drives the randomized
-// routing storm through an indexed broker and a LinearMatch broker
-// (both on the snapshot read path): transcripts, pending counts, heap
-// usage and stats — SelectorRejected included — must be identical, with
-// only the Match* meters (zeroed by clearLockMeters) allowed to differ.
+// operation storm with selectors the index keys on — equality, IN
+// lists, ranges, LIKE prefixes, conjunctions and disjunctions, and
+// shapes it cannot key (IS NULL, NOT) — through every production
+// variant and the reference model's linear scan.
 func TestMatchIndexLinearEquivalenceRandomized(t *testing.T) {
-	runRoutingEquivalence(t, func(cfg *Config) {}, func(cfg *Config) {
-		cfg.LinearMatch = true
+	runSpecStorm(t, []string{
+		"", "id = 7", "id = 42", "region = 'eu'", "region IN ('us', 'ap')",
+		"id = 7 OR region = 'us'", "id > 90 AND region = 'eu'",
+		"name LIKE 'gen-%' AND id < 20", "NOT (id = 3)", "missing IS NULL",
+		"id BETWEEN 10 AND 12", "id IN (1, 2, 3) AND name = 'probe-2'",
 	})
 }
 
-// TestMatchIndexMeters pins the index's observable contract on a hot
-// topic with many disjoint equality selectors: indexed mode evaluates
-// only the candidate groups per publish (here exactly one, plus the
-// always-delivered fast subscription outside the meters), while
-// LinearMatch evaluates every group; both modes deliver identically and
-// reject identically.
+// TestMatchIndexMeters gates the index on a hot topic with 1000
+// distinct equality selectors: at most one program evaluation per
+// publish, while delivering and rejecting exactly what the reference
+// model's linear scan does.
 func TestMatchIndexMeters(t *testing.T) {
-	const groups = 64
-	run := func(linear bool) Stats {
-		env := newFakeEnv(0)
-		cfg := DefaultConfig("b")
-		cfg.Shards = 4
-		cfg.LinearMatch = linear
-		b := New(env, cfg)
-		mustOpen(t, b, 1)
-		mustOpen(t, b, 2)
-		for i := 0; i < groups; i++ {
-			b.OnFrame(2, wire.Subscribe{
-				SubID:    int64(i + 1),
-				Dest:     message.Topic("hot"),
-				Selector: fmt.Sprintf("key = 'sub-%d'", i),
-			})
+	const groups, publishes = 1000, 200
+	for _, v := range allVariants {
+		rig := newSpecRig(DefaultConfig("b"), []variant{v})
+		rig.do(func(b brokerAPI) {
+			for c := ConnID(1); c <= 2; c++ {
+				if err := b.OnConnOpen(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < groups; i++ {
+				b.OnFrame(2, wire.Subscribe{
+					SubID:    int64(i + 1),
+					Dest:     message.Topic("hot"),
+					Selector: fmt.Sprintf("key = 'sub-%d'", i),
+				})
+			}
+			for i := 0; i < publishes; i++ {
+				publishOn(b, 1, fmt.Sprintf("m%d", i), message.Topic("hot"), map[string]message.Value{
+					"key": message.String(fmt.Sprintf("sub-%d", i*5)),
+				})
+			}
+		})
+		rig.check(t, "")
+		st := rig.brokers[0].Stats()
+		if st.Delivered != publishes {
+			t.Fatalf("%v: delivered %d, want %d", v, st.Delivered, publishes)
 		}
-		for i := 0; i < groups; i++ {
-			publishOn(b, 1, fmt.Sprintf("m%d", i), message.Topic("hot"), map[string]message.Value{
-				"key": message.String(fmt.Sprintf("sub-%d", i)),
-			})
+		if st.MatchProgramEvals > publishes {
+			t.Fatalf("%v: %d program evaluations over %d publishes, want at most 1 per publish",
+				v, st.MatchProgramEvals, publishes)
 		}
-		return b.Stats()
-	}
-
-	idx, lin := run(false), run(true)
-	if idx.Delivered != groups || lin.Delivered != groups {
-		t.Fatalf("delivered: indexed %d, linear %d, want %d each", idx.Delivered, lin.Delivered, groups)
-	}
-	if idx.SelectorRejected != lin.SelectorRejected {
-		t.Fatalf("SelectorRejected: indexed %d != linear %d", idx.SelectorRejected, lin.SelectorRejected)
-	}
-	if want := uint64(groups * groups); lin.MatchProgramEvals != want {
-		t.Fatalf("linear MatchProgramEvals = %d, want %d", lin.MatchProgramEvals, want)
-	}
-	if want := uint64(groups); idx.MatchProgramEvals != want {
-		t.Fatalf("indexed MatchProgramEvals = %d, want %d (one candidate per publish)", idx.MatchProgramEvals, want)
-	}
-	if idx.MatchIndexCandidates != idx.MatchProgramEvals {
-		t.Fatalf("MatchIndexCandidates %d != MatchProgramEvals %d", idx.MatchIndexCandidates, idx.MatchProgramEvals)
-	}
-	if want := uint64(groups * (groups - 1)); idx.MatchGroupsSkipped != want {
-		t.Fatalf("MatchGroupsSkipped = %d, want %d", idx.MatchGroupsSkipped, want)
-	}
-	if lin.MatchIndexCandidates != 0 || lin.MatchGroupsSkipped != 0 || lin.MatchDurablesSkipped != 0 {
-		t.Fatalf("linear mode moved index meters: %+v", lin)
-	}
-	if idx.MatchDurablesSkipped != 0 {
-		t.Fatalf("MatchDurablesSkipped = %d, want 0 (no durables in play)", idx.MatchDurablesSkipped)
+		if st.MatchIndexCandidates != st.MatchProgramEvals {
+			t.Fatalf("%v: MatchIndexCandidates %d != MatchProgramEvals %d", v, st.MatchIndexCandidates, st.MatchProgramEvals)
+		}
+		if want := uint64(publishes * (groups - 1)); st.MatchGroupsSkipped != want {
+			t.Fatalf("%v: MatchGroupsSkipped = %d, want %d", v, st.MatchGroupsSkipped, want)
+		}
+		if st.MatchDurablesSkipped != 0 {
+			t.Fatalf("%v: MatchDurablesSkipped = %d, want 0 (no durables in play)", v, st.MatchDurablesSkipped)
+		}
 	}
 }
 

@@ -62,6 +62,11 @@ type subscription struct {
 	sel         *selector.Selector
 	ackMode     message.AckMode
 	durableName string
+	// durable is the durable state this subscription attaches to (nil
+	// for non-durable subscriptions). Set before the subscription is
+	// published to any route and never changed: deliveries to it go
+	// through the durable's lock (deliverDurable).
+	durable *durableState
 
 	mu       sync.Mutex
 	detached bool // set at drop; late snapshot deliveries are skipped
@@ -167,11 +172,11 @@ func (b *Broker) handleSubscribe(c *conn, v wire.Subscribe) {
 }
 
 // subscribeTopic installs a topic subscription: durable attach (under
-// the durable directory lock), index insertion, interest callback,
-// registration on the conn, SubOK, and durable backlog replay — all
-// under one hold of the topic's shard lock, so a concurrent publish
-// either lands in the backlog (drained below, after SubOK) or is
-// delivered live once the subscription is indexed; no message is missed.
+// the durable directory lock), index insertion, interest callback and
+// registration on the conn, all under one hold of the topic's shard
+// lock. The routing snapshot is republished before SubOK, so a publish
+// the client issues after seeing SubOK reaches the new subscription; a
+// durable's backlog is replayed after SubOK (activateDurable).
 func (b *Broker) subscribeTopic(c *conn, sub *subscription, v wire.Subscribe) {
 	var d *durableState
 	if v.Durable && v.DurableName != "" {
@@ -182,20 +187,12 @@ func (b *Broker) subscribeTopic(c *conn, sub *subscription, v wire.Subscribe) {
 			b.env.Send(c.id, wire.SubOK{SubID: -v.SubID})
 			return
 		}
+		sub.durable = d
 	}
 	sh := b.shardFor(v.Dest.Name)
 	sub.shard = sh
 	b.lockShard(sh)
 	defer sh.mu.Unlock()
-	// Republish the topic's routing snapshot before the lock is released
-	// (deferred calls run inner-first), so the lock-free read path sees
-	// every index mutation made below.
-	defer b.refreshTopicRoute(sh, v.Dest.Name)
-	if d != nil {
-		d.mu.Lock()
-		d.active = sub
-		d.mu.Unlock()
-	}
 	t := sh.topics[v.Dest.Name]
 	if t == nil {
 		t = &topicState{name: v.Dest.Name, byKey: make(map[string]*selGroup)}
@@ -208,38 +205,20 @@ func (b *Broker) subscribeTopic(c *conn, sub *subscription, v wire.Subscribe) {
 	}
 	if !b.registerSub(c, sub) {
 		// The connection closed mid-subscribe: undo the installation.
+		// No route listed the subscription yet.
 		b.removeTopicSub(t, sub)
 		if t.subCount() == 0 {
 			b.notifyInterest(t.name, false)
 			delete(sh.topics, t.name)
 		}
-		if d != nil {
-			d.mu.Lock()
-			d.active = nil
-			d.mu.Unlock()
-		}
 		return
 	}
-	b.env.Send(c.id, wire.SubOK{SubID: v.SubID})
 	if d != nil {
-		// Deliver the backlog the durable buffered while disconnected.
-		// The backlog is swapped out under the durable's leaf lock and
-		// delivered after releasing it: deliverTo takes sub.mu, and leaf
-		// locks never nest.
-		d.mu.Lock()
-		backlog := d.backlog
-		d.backlog = nil
-		d.mu.Unlock()
-		if len(backlog) > 0 {
-			if j := b.loadJournal(); j != nil {
-				j.DurableFlushed(d.name)
-			}
-		}
-		for _, sm := range backlog {
-			b.env.Free(sm.cost)
-			b.deliverTo(sub, sm.msg)
-		}
+		b.activateDurable(sh, d, sub)
+		return
 	}
+	b.refreshTopicRoute(sh, t.name)
+	b.env.Send(c.id, wire.SubOK{SubID: v.SubID})
 }
 
 func (b *Broker) subscribeQueue(c *conn, sub *subscription, v wire.Subscribe) {
@@ -287,20 +266,13 @@ func (b *Broker) dropSubscription(sub *subscription, unsubscribe bool) {
 	sh := sub.shard
 	b.lockShard(sh)
 	defer sh.mu.Unlock()
-	// Detach under the subscription's leaf lock: a snapshot publish that
-	// raced past the index removal sees the flag and skips the delivery
-	// instead of allocating into a freed pending map.
-	sub.mu.Lock()
-	sub.detached = true
-	for _, pd := range sub.pending {
-		b.env.Free(pd.cost)
+	if d := sub.durable; d != nil && d.active == sub {
+		b.detachDurable(sh, d, sub, unsubscribe)
+	} else {
+		b.detach(sub)
 	}
-	b.stats.pending.Add(-int64(len(sub.pending)))
-	sub.pending = make(map[int64]pendingDelivery)
-	sub.mu.Unlock()
 	switch sub.dest.Kind {
 	case message.TopicKind:
-		defer b.refreshTopicRoute(sh, sub.dest.Name)
 		if t := sh.topics[sub.dest.Name]; t != nil {
 			b.removeTopicSub(t, sub)
 			if t.subCount() == 0 {
@@ -308,31 +280,27 @@ func (b *Broker) dropSubscription(sub *subscription, unsubscribe bool) {
 				delete(sh.topics, sub.dest.Name)
 			}
 		}
-		if sub.durableName != "" {
-			if d := b.durables[sub.durableName]; d != nil && d.active == sub {
-				d.mu.Lock()
-				d.active = nil
-				if unsubscribe {
-					for _, sm := range d.backlog {
-						b.env.Free(sm.cost)
-					}
-					d.backlog = nil
-				}
-				d.mu.Unlock()
-				if unsubscribe {
-					delete(b.durables, sub.durableName)
-					b.unindexDurable(sh, d)
-					if j := b.loadJournal(); j != nil {
-						j.DurableUnsubscribed(sub.durableName)
-					}
-				}
-			}
-		}
+		b.refreshTopicRoute(sh, sub.dest.Name)
 	case message.QueueKind:
 		if q := sh.queues[sub.dest.Name]; q != nil {
 			b.removeQueueSub(sh, q, sub)
 		}
 	}
+}
+
+// detach marks a dropped subscription under its leaf lock and releases
+// its pending deliveries: a snapshot publish that raced past the index
+// removal sees the flag and skips the delivery instead of allocating
+// into a freed pending map.
+func (b *Broker) detach(sub *subscription) {
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	sub.detached = true
+	for _, pd := range sub.pending {
+		b.env.Free(pd.cost)
+	}
+	b.stats.pending.Add(-int64(len(sub.pending)))
+	sub.pending = make(map[int64]pendingDelivery)
 }
 
 func (b *Broker) handleAck(c *conn, v wire.Ack) {

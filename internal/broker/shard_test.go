@@ -3,42 +3,22 @@ package broker
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"gridmon/internal/message"
-	"gridmon/internal/simproc"
 	"gridmon/internal/wire"
 )
 
 // Tests for the sharded destination layer. Two obligations:
 //
 //  1. Equivalence — sharding is a pure partitioning of lock domains, so
-//     with a single calling goroutine a sharded broker must produce
-//     exactly the frame transcripts, stats, backlogs and heap usage of
-//     the serial (single-shard) broker for any operation sequence.
+//     with a single calling goroutine a broker of any shard count must
+//     match the reference model (refmodel_test.go) for any operation
+//     sequence.
 //  2. Safety — with many calling goroutines the broker must stay
 //     data-race free and keep its memory accounting balanced. Run under
 //     -race (the CI race job covers this package).
-
-// transcript renders a connection's outbound frames into a canonical,
-// comparable form.
-func transcript(env *fakeEnv, c ConnID) []string {
-	var out []string
-	for _, f := range env.sent[c] {
-		switch v := f.(type) {
-		case *wire.Deliver:
-			out = append(out, fmt.Sprintf("deliver sub=%d tag=%d id=%s", v.SubID, v.Tag, v.Msg.ID))
-		case wire.Deliver:
-			out = append(out, fmt.Sprintf("deliver sub=%d tag=%d id=%s", v.SubID, v.Tag, v.Msg.ID))
-		default:
-			out = append(out, fmt.Sprintf("%T%+v", f, f))
-		}
-	}
-	return out
-}
 
 func TestShardOfPartitionsNames(t *testing.T) {
 	b, _ := newBroker(t, 0)
@@ -65,284 +45,22 @@ func TestShardOfPartitionsNames(t *testing.T) {
 	if len(seen) < 4 {
 		t.Fatalf("256 names landed on only %d of 8 shards", len(seen))
 	}
-	// SerialCore forces a single shard regardless of Shards.
-	cfg.SerialCore = true
-	if bs := New(newFakeEnv(0), cfg); bs.NumShards() != 1 {
-		t.Fatalf("SerialCore broker has %d shards", bs.NumShards())
-	}
 }
 
-// TestShardedSerialEquivalenceRandomized drives identical randomized
-// operation sequences — connection churn, topic/queue/durable
-// subscribes, unsubscribes, publishes, partial acks — through a serial
-// (SerialCore) broker and an 8-shard broker from one goroutine, then
-// requires bit-identical frame transcripts, stats, pending counts and
-// heap usage. This is the "sharded == serial" proof the concurrency
-// architecture rests on: shards change only which operations may
-// overlap, never what any operation does.
+// TestShardedSerialEquivalenceRandomized drives the randomized
+// operation storm, including an invalid selector that every broker must
+// refuse, through brokers of 1 and 8 shards and the reference model.
+// This is the "sharded == serial" proof the concurrency architecture
+// rests on: shards change only which operations may overlap, never
+// what any operation does.
 func TestShardedSerialEquivalenceRandomized(t *testing.T) {
-	selectors := []string{
+	runSpecStorm(t, []string{
 		"", "TRUE", "1 = 1",
 		"id < 50", "id >= 50",
 		"name LIKE 'gen-%'", "id BETWEEN 20 AND 60",
 		"region IN ('us', 'eu') AND id < 80",
-		"not a selector <<", // invalid: rejected identically
-	}
-	var topics, queues []message.Destination
-	for i := 0; i < 10; i++ {
-		topics = append(topics, message.Topic(fmt.Sprintf("t%d", i)))
-	}
-	for i := 0; i < 4; i++ {
-		queues = append(queues, message.Queue(fmt.Sprintf("q%d", i)))
-	}
-
-	for seed := int64(1); seed <= 6; seed++ {
-		envS := newFakeEnv(0)
-		cfgS := DefaultConfig("b")
-		cfgS.SerialCore = true
-		bS := New(envS, cfgS)
-
-		envP := newFakeEnv(0)
-		cfgP := DefaultConfig("b")
-		cfgP.Shards = 8
-		bP := New(envP, cfgP)
-
-		both := func(fn func(b *Broker)) { fn(bS); fn(bP) }
-		rng := rand.New(rand.NewSource(seed))
-
-		var open []ConnID
-		nextConn := ConnID(0)
-		openConn := func() {
-			nextConn++
-			id := nextConn
-			both(func(b *Broker) {
-				if err := b.OnConnOpen(id); err != nil {
-					t.Fatal(err)
-				}
-			})
-			open = append(open, id)
-		}
-		openConn() // conn 1 is the dedicated publisher
-		pubConn := open[0]
-
-		type subInfo struct {
-			conn ConnID
-			id   int64
-		}
-		var live []subInfo
-		nextSub := int64(0)
-		acked := map[ConnID]int{} // frames of env.sent already acked, per conn
-
-		for op := 0; op < 600; op++ {
-			switch r := rng.Intn(20); {
-			case r < 1 && len(open) < 12: // open another conn
-				openConn()
-			case r < 2 && len(open) > 1: // close a non-publisher conn
-				i := 1 + rng.Intn(len(open)-1)
-				id := open[i]
-				open = append(open[:i], open[i+1:]...)
-				kept := live[:0]
-				for _, s := range live {
-					if s.conn != id {
-						kept = append(kept, s)
-					}
-				}
-				live = kept
-				both(func(b *Broker) { b.OnConnClose(id) })
-			case r < 6: // subscribe a topic
-				if len(open) < 2 {
-					continue
-				}
-				nextSub++
-				c := open[1+rng.Intn(len(open)-1)]
-				f := wire.Subscribe{
-					SubID:    nextSub,
-					Dest:     topics[rng.Intn(len(topics))],
-					Selector: selectors[rng.Intn(len(selectors))],
-				}
-				both(func(b *Broker) { b.OnFrame(c, f) })
-				live = append(live, subInfo{conn: c, id: nextSub})
-			case r < 8: // subscribe a queue
-				if len(open) < 2 {
-					continue
-				}
-				nextSub++
-				c := open[1+rng.Intn(len(open)-1)]
-				f := wire.Subscribe{
-					SubID:    nextSub,
-					Dest:     queues[rng.Intn(len(queues))],
-					Selector: selectors[rng.Intn(5)], // valid only
-				}
-				both(func(b *Broker) { b.OnFrame(c, f) })
-				live = append(live, subInfo{conn: c, id: nextSub})
-			case r < 9: // durable attach (sometimes immediately destroyed)
-				if len(open) < 2 {
-					continue
-				}
-				nextSub++
-				c := open[1+rng.Intn(len(open)-1)]
-				f := wire.Subscribe{
-					SubID:       nextSub,
-					Dest:        topics[rng.Intn(3)],
-					Selector:    "id < 70",
-					Durable:     true,
-					DurableName: fmt.Sprintf("dur-%d", rng.Intn(3)),
-				}
-				both(func(b *Broker) { b.OnFrame(c, f) })
-				if rng.Intn(2) == 0 {
-					both(func(b *Broker) { b.OnFrame(c, wire.Unsubscribe{SubID: nextSub}) })
-				} else {
-					live = append(live, subInfo{conn: c, id: nextSub})
-				}
-			case r < 10: // unsubscribe
-				if len(live) == 0 {
-					continue
-				}
-				i := rng.Intn(len(live))
-				s := live[i]
-				live = append(live[:i], live[i+1:]...)
-				both(func(b *Broker) { b.OnFrame(s.conn, wire.Unsubscribe{SubID: s.id}) })
-			case r < 12: // ack a batch of this conn's unacked deliveries
-				if len(open) < 2 {
-					continue
-				}
-				c := open[1+rng.Intn(len(open)-1)]
-				// Derive tags from the serial env's transcript; the
-				// sharded broker must have produced the same frames
-				// (verified wholesale at the end).
-				frames := envS.sent[c]
-				tags := map[int64][]int64{}
-				n := 0
-				for _, f := range frames[acked[c]:] {
-					if d, ok := f.(*wire.Deliver); ok {
-						tags[d.SubID] = append(tags[d.SubID], d.Tag)
-					}
-					n++
-					if n >= 20 {
-						break
-					}
-				}
-				acked[c] += n
-				for subID, ts := range tags {
-					f := wire.Ack{SubID: subID, Tags: ts}
-					both(func(b *Broker) { b.OnFrame(c, f) })
-				}
-			default: // publish
-				id := fmt.Sprintf("m%d", op)
-				dest := topics[rng.Intn(len(topics))]
-				if rng.Intn(4) == 0 {
-					dest = queues[rng.Intn(len(queues))]
-				}
-				props := map[string]message.Value{
-					"id":     message.Int(int32(rng.Intn(100))),
-					"name":   message.String([]string{"gen-1", "probe-2"}[rng.Intn(2)]),
-					"region": message.String([]string{"us", "eu", "ap"}[rng.Intn(3)]),
-				}
-				both(func(b *Broker) { publishOn(b, pubConn, id, dest, props) })
-			}
-		}
-
-		for c := ConnID(1); c <= nextConn; c++ {
-			ts, tp := transcript(envS, c), transcript(envP, c)
-			if !reflect.DeepEqual(ts, tp) {
-				t.Fatalf("seed %d conn %d: serial transcript (%d frames) != sharded (%d frames)",
-					seed, c, len(ts), len(tp))
-			}
-		}
-		// Mode-specific meters aside (SerialCore disables the parallel
-		// fan-out engine, so its Fanout*/Egress* meters never move),
-		// counters must agree exactly.
-		if ss, sp := clearLockMeters(bS.Stats()), clearLockMeters(bP.Stats()); ss != sp {
-			t.Fatalf("seed %d: serial stats %+v != sharded %+v", seed, ss, sp)
-		}
-		if bS.PendingCount() != bP.PendingCount() {
-			t.Fatalf("seed %d: pending %d != %d", seed, bS.PendingCount(), bP.PendingCount())
-		}
-		if envS.heap.Used() != envP.heap.Used() {
-			t.Fatalf("seed %d: heap %d != %d", seed, envS.heap.Used(), envP.heap.Used())
-		}
-		if ts, tp := bS.Topics(), bP.Topics(); !reflect.DeepEqual(ts, tp) {
-			t.Fatalf("seed %d: topics %v != %v", seed, ts, tp)
-		}
-	}
-}
-
-// raceEnv is a concurrency-safe Env: atomic memory accounting
-// (simproc.SharedHeap, which panics on unbalanced frees) and per-conn
-// delivery records behind per-conn locks.
-type raceEnv struct {
-	heap   *simproc.SharedHeap
-	native *simproc.SharedHeap
-
-	mu   sync.Mutex
-	recs map[ConnID]*deliveryRec
-
-	sent atomic.Uint64
-}
-
-type deliveryRec struct {
-	mu   sync.Mutex
-	tags []wire.Ack // one entry per delivery, ready to feed back
-	ids  []string   // delivered message IDs, in arrival order (never reset)
-}
-
-func newRaceEnv() *raceEnv {
-	return &raceEnv{
-		heap:   simproc.NewSharedHeap("race-heap", 0, 0),
-		native: simproc.NewSharedHeap("race-native", 0, 0),
-		recs:   make(map[ConnID]*deliveryRec),
-	}
-}
-
-func (e *raceEnv) rec(c ConnID) *deliveryRec {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	r := e.recs[c]
-	if r == nil {
-		r = &deliveryRec{}
-		e.recs[c] = r
-	}
-	return r
-}
-
-func (e *raceEnv) Now() int64 { return 0 }
-func (e *raceEnv) Send(c ConnID, f wire.Frame) {
-	e.sent.Add(1)
-	switch d := f.(type) {
-	case *wire.Deliver:
-		r := e.rec(c)
-		r.mu.Lock()
-		r.tags = append(r.tags, wire.Ack{SubID: d.SubID, Tags: []int64{d.Tag}})
-		r.ids = append(r.ids, d.Msg.ID)
-		r.mu.Unlock()
-		wire.PutDeliver(d)
-	case *wire.DeliverBatch:
-		r := e.rec(c)
-		r.mu.Lock()
-		for _, ent := range d.Entries {
-			r.tags = append(r.tags, wire.Ack{SubID: ent.SubID, Tags: []int64{ent.Tag}})
-			r.ids = append(r.ids, d.Msg.ID)
-		}
-		r.mu.Unlock()
-		wire.PutDeliverBatch(d)
-	}
-}
-func (e *raceEnv) CloseConn(ConnID)    {}
-func (e *raceEnv) AllocConn() error    { return e.native.Alloc(1) }
-func (e *raceEnv) FreeConn()           { e.native.Free(1) }
-func (e *raceEnv) Alloc(n int64) error { return e.heap.Alloc(n) }
-func (e *raceEnv) Free(n int64)        { e.heap.Free(n) }
-
-// drainAcks feeds every recorded delivery of conn c back as an Ack.
-func (e *raceEnv) drainAcks(b *Broker, c ConnID) {
-	r := e.rec(c)
-	r.mu.Lock()
-	tags := r.tags
-	r.tags = nil
-	r.mu.Unlock()
-	for i := range tags {
-		b.OnFrame(c, &tags[i])
-	}
+		"not a selector <<", // invalid: refused identically
+	})
 }
 
 // TestConcurrentShardStress runs subscribe/publish/ack/unsubscribe/
@@ -355,7 +73,7 @@ func (e *raceEnv) drainAcks(b *Broker, c ConnID) {
 // -race (CI) checks the locking.
 func TestConcurrentShardStress(t *testing.T) {
 	const workers = 16
-	env := newRaceEnv()
+	env := newSpecEnv(false)
 	cfg := DefaultConfig("race")
 	cfg.Shards = 8
 	b := New(env, cfg)
@@ -510,6 +228,9 @@ func TestConcurrentShardStress(t *testing.T) {
 		t.Fatalf("pending count after teardown: %d", n)
 	}
 	st := b.Stats()
+	if st.ReadLockAcquisitions != 0 {
+		t.Fatalf("concurrent publishes took %d read-path shard locks, want 0", st.ReadLockAcquisitions)
+	}
 	if st.Delivered < st.Acked {
 		t.Fatalf("delivered %d < acked %d", st.Delivered, st.Acked)
 	}

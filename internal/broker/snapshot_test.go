@@ -4,68 +4,45 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"gridmon/internal/message"
 	"gridmon/internal/wire"
 )
 
-// Tests for the lock-free (snapshot) publish read path. The obligations
-// mirror shard_test.go's: snapshot routing must be observably identical
-// to locked routing for any single-goroutine operation sequence, and
-// the lock meters must prove which path ran.
+// Tests for the lock-free (snapshot) publish read path: snapshot
+// routing must match the reference model (refmodel_test.go) for any
+// single-goroutine operation sequence, and topic publishes must take no
+// shard lock.
 
-// clearLockMeters zeroes the contention-observability fields and the
-// matching-index meters, which legitimately differ across read-path and
-// match modes — that difference is the point of the meters. Everything
-// else in Stats — including SelectorRejected, which the indexed path
-// must bulk-account for skipped groups — must match exactly.
-func clearLockMeters(s Stats) Stats {
-	s.ReadLockAcquisitions = 0
-	s.ShardLockAcquisitions = 0
-	s.ShardLockContended = 0
-	s.ShardLockWaitNs = 0
-	s.MatchProgramEvals = 0
-	s.MatchIndexCandidates = 0
-	s.MatchGroupsSkipped = 0
-	s.MatchDurablesSkipped = 0
-	s.FanoutTasks = 0
-	s.FanoutChunks = 0
-	s.FanoutInlineRuns = 0
-	s.EgressFlushes = 0
-	s.EgressFrames = 0
-	return s
-}
-
-// TestSnapshotLockedEquivalenceRandomized drives identical randomized
-// operation sequences — connection churn, topic/queue/durable
-// subscribes, durable recreates, unsubscribes, publishes, partial acks
-// — through an 8-shard broker on the snapshot read path and one on the
-// locked read path, from a single goroutine, then requires bit-identical
-// frame transcripts, stats (lock meters aside), pending counts, heap
-// usage and topic sets. Any index mutation missing its snapshot refresh
-// shows up here as a routing divergence.
+// TestSnapshotLockedEquivalenceRandomized drives the randomized
+// operation storm through every production variant and the reference
+// model. Its selectors include NaN constants and the residual "<>"
+// shape, so the snapshot's matching index sees every key kind. Any
+// index mutation missing its snapshot refresh shows up as a routing
+// divergence from the model.
 func TestSnapshotLockedEquivalenceRandomized(t *testing.T) {
-	runRoutingEquivalence(t, func(cfg *Config) {}, func(cfg *Config) {
-		cfg.LockedReadPath = true
-	})
-}
-
-// runRoutingEquivalence drives the randomized operation storm through
-// two brokers differing only by the given config mutations ("A" vs "B")
-// and requires bit-identical observable behaviour. Shared by the
-// snapshot-vs-locked and indexed-vs-linear-match equivalence suites.
-func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
-	t.Helper()
-	selectors := []string{
+	runSpecStorm(t, []string{
 		"", "TRUE", "1 = 1",
 		"id < 50", "id >= 50",
 		"name LIKE 'gen-%'", "id BETWEEN 20 AND 60",
 		"region IN ('us', 'eu') AND id < 80",
 		"id <> 50",      // residual key: the only ordered shape a NaN id matches
 		"id <= 0.0/0.0", // NaN constant: never TRUE, Never key
-	}
+	})
+}
+
+// runSpecStorm drives identical randomized operation sequences —
+// connection churn, topic/queue/durable subscribes with the given
+// selectors, durable recreates (including cross-shard moves),
+// unsubscribes, publishes (some with NaN ids) and partial acks —
+// through the reference model and every production variant from one
+// goroutine, then requires each broker to match the model
+// (specRig.check). The first five selectors must be valid: queues use
+// them.
+func runSpecStorm(t *testing.T, selectors []string) {
+	t.Helper()
 	var topics, queues []message.Destination
 	for i := 0; i < 10; i++ {
 		topics = append(topics, message.Topic(fmt.Sprintf("t%d", i)))
@@ -75,19 +52,7 @@ func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 	}
 
 	for seed := int64(1); seed <= 6; seed++ {
-		envSnap := newFakeEnv(0)
-		cfgSnap := DefaultConfig("b")
-		cfgSnap.Shards = 8
-		mutA(&cfgSnap)
-		bSnap := New(envSnap, cfgSnap)
-
-		envLock := newFakeEnv(0)
-		cfgLock := DefaultConfig("b")
-		cfgLock.Shards = 8
-		mutB(&cfgLock)
-		bLock := New(envLock, cfgLock)
-
-		both := func(fn func(b *Broker)) { fn(bSnap); fn(bLock) }
+		rig := newSpecRig(DefaultConfig("b"), allVariants)
 		rng := rand.New(rand.NewSource(seed))
 
 		var open []ConnID
@@ -95,7 +60,7 @@ func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 		openConn := func() {
 			nextConn++
 			id := nextConn
-			both(func(b *Broker) {
+			rig.do(func(b brokerAPI) {
 				if err := b.OnConnOpen(id); err != nil {
 					t.Fatal(err)
 				}
@@ -111,24 +76,18 @@ func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 		}
 		var live []subInfo
 		nextSub := int64(0)
-		acked := map[ConnID]int{}
+		closeConn := func(id ConnID) {
+			open = slices.DeleteFunc(open, func(c ConnID) bool { return c == id })
+			live = slices.DeleteFunc(live, func(s subInfo) bool { return s.conn == id })
+			rig.do(func(b brokerAPI) { b.OnConnClose(id) })
+		}
 
 		for op := 0; op < 600; op++ {
 			switch r := rng.Intn(20); {
 			case r < 1 && len(open) < 12:
 				openConn()
 			case r < 2 && len(open) > 1: // close a non-publisher conn
-				i := 1 + rng.Intn(len(open)-1)
-				id := open[i]
-				open = append(open[:i], open[i+1:]...)
-				kept := live[:0]
-				for _, s := range live {
-					if s.conn != id {
-						kept = append(kept, s)
-					}
-				}
-				live = kept
-				both(func(b *Broker) { b.OnConnClose(id) })
+				closeConn(open[1+rng.Intn(len(open)-1)])
 			case r < 6: // subscribe a topic
 				if len(open) < 2 {
 					continue
@@ -140,7 +99,7 @@ func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 					Dest:     topics[rng.Intn(len(topics))],
 					Selector: selectors[rng.Intn(len(selectors))],
 				}
-				both(func(b *Broker) { b.OnFrame(c, f) })
+				rig.do(func(b brokerAPI) { b.OnFrame(c, f) })
 				live = append(live, subInfo{conn: c, id: nextSub})
 			case r < 7: // subscribe a queue
 				if len(open) < 2 {
@@ -153,7 +112,7 @@ func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 					Dest:     queues[rng.Intn(len(queues))],
 					Selector: selectors[rng.Intn(5)],
 				}
-				both(func(b *Broker) { b.OnFrame(c, f) })
+				rig.do(func(b brokerAPI) { b.OnFrame(c, f) })
 				live = append(live, subInfo{conn: c, id: nextSub})
 			case r < 9: // durable attach/recreate (sometimes destroyed)
 				if len(open) < 2 {
@@ -172,26 +131,13 @@ func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 					Durable:     true,
 					DurableName: fmt.Sprintf("dur-%d", rng.Intn(3)),
 				}
-				both(func(b *Broker) { b.OnFrame(c, f) })
-				if rng.Intn(3) == 0 {
-					both(func(b *Broker) { b.OnFrame(c, wire.Unsubscribe{SubID: nextSub}) })
-				} else if rng.Intn(2) == 0 {
-					// Disconnect path: the durable keeps buffering.
-					both(func(b *Broker) { b.OnConnClose(c) })
-					for i, oc := range open {
-						if oc == c {
-							open = append(open[:i], open[i+1:]...)
-							break
-						}
-					}
-					kept := live[:0]
-					for _, s := range live {
-						if s.conn != c {
-							kept = append(kept, s)
-						}
-					}
-					live = kept
-				} else {
+				rig.do(func(b brokerAPI) { b.OnFrame(c, f) })
+				switch rng.Intn(6) {
+				case 0, 1:
+					rig.do(func(b brokerAPI) { b.OnFrame(c, wire.Unsubscribe{SubID: f.SubID}) })
+				case 2: // disconnect: the durable keeps buffering
+					closeConn(c)
+				default:
 					live = append(live, subInfo{conn: c, id: nextSub})
 				}
 			case r < 10: // unsubscribe
@@ -201,28 +147,14 @@ func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 				i := rng.Intn(len(live))
 				s := live[i]
 				live = append(live[:i], live[i+1:]...)
-				both(func(b *Broker) { b.OnFrame(s.conn, wire.Unsubscribe{SubID: s.id}) })
-			case r < 12: // ack a batch of this conn's unacked deliveries
+				rig.do(func(b brokerAPI) { b.OnFrame(s.conn, wire.Unsubscribe{SubID: s.id}) })
+			case r < 12: // ack up to 20 of this conn's unacked deliveries
 				if len(open) < 2 {
 					continue
 				}
 				c := open[1+rng.Intn(len(open)-1)]
-				frames := envSnap.sent[c]
-				tags := map[int64][]int64{}
-				n := 0
-				for _, f := range frames[acked[c]:] {
-					if d, ok := f.(*wire.Deliver); ok {
-						tags[d.SubID] = append(tags[d.SubID], d.Tag)
-					}
-					n++
-					if n >= 20 {
-						break
-					}
-				}
-				acked[c] += n
-				for subID, ts := range tags {
-					f := wire.Ack{SubID: subID, Tags: ts}
-					both(func(b *Broker) { b.OnFrame(c, f) })
+				for _, a := range rig.ref.out.takeAcks(c, 20) {
+					rig.do(func(b brokerAPI) { b.OnFrame(c, a) })
 				}
 			default: // publish
 				id := fmt.Sprintf("m%d", op)
@@ -236,71 +168,42 @@ func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 					"region": message.String([]string{"us", "eu", "ap"}[rng.Intn(3)]),
 				}
 				if rng.Intn(8) == 0 {
-					// NaN ids must route identically across all modes:
-					// IEEE semantics match no Eq/Range selector, only
-					// "id <> 50".
+					// IEEE semantics: a NaN id matches no Eq/Range
+					// selector, only "id <> 50".
 					props["id"] = message.Double(math.NaN())
 				}
-				both(func(b *Broker) { publishOn(b, pubConn, id, dest, props) })
+				rig.do(func(b brokerAPI) { publishOn(b, pubConn, id, dest, props) })
 			}
 		}
-
-		for c := ConnID(1); c <= nextConn; c++ {
-			ts, tl := transcript(envSnap, c), transcript(envLock, c)
-			if !reflect.DeepEqual(ts, tl) {
-				t.Fatalf("seed %d conn %d: snapshot transcript (%d frames) != locked (%d frames)",
-					seed, c, len(ts), len(tl))
-			}
-		}
-		ss, sl := clearLockMeters(bSnap.Stats()), clearLockMeters(bLock.Stats())
-		if ss != sl {
-			t.Fatalf("seed %d: snapshot stats %+v != locked %+v", seed, ss, sl)
-		}
-		if bSnap.PendingCount() != bLock.PendingCount() {
-			t.Fatalf("seed %d: pending %d != %d", seed, bSnap.PendingCount(), bLock.PendingCount())
-		}
-		if envSnap.heap.Used() != envLock.heap.Used() {
-			t.Fatalf("seed %d: heap %d != %d", seed, envSnap.heap.Used(), envLock.heap.Used())
-		}
-		if ts, tl := bSnap.Topics(), bLock.Topics(); !reflect.DeepEqual(ts, tl) {
-			t.Fatalf("seed %d: topics %v != %v", seed, ts, tl)
-		}
+		rig.check(t, fmt.Sprintf("seed %d", seed))
 	}
 }
 
 // TestReadPathLockMeters pins the observable contract of the lock
-// meters: topic publishes on the snapshot path take zero shard locks
-// (ReadLockAcquisitions stays 0 and ShardLockAcquisitions does not
-// move), while the locked baseline records exactly one read-path
-// acquisition per topic publish.
+// meters: topic publishes take zero shard locks (ReadLockAcquisitions
+// stays 0 and ShardLockAcquisitions does not move).
 func TestReadPathLockMeters(t *testing.T) {
-	run := func(locked bool) (perPublishShardLocks uint64, readLocks uint64) {
-		env := newFakeEnv(0)
-		cfg := DefaultConfig("b")
-		cfg.Shards = 4
-		cfg.LockedReadPath = locked
-		b := New(env, cfg)
-		mustOpen(t, b, 1)
-		mustOpen(t, b, 2)
-		b.OnFrame(2, wire.Subscribe{SubID: 1, Dest: message.Topic("t")})
-		before := b.Stats()
-		const n = 50
-		for i := 0; i < n; i++ {
-			publishOn(b, 1, fmt.Sprintf("m%d", i), message.Topic("t"), nil)
-		}
-		after := b.Stats()
-		if got := after.Delivered - before.Delivered; got != n {
-			t.Fatalf("locked=%v: delivered %d of %d publishes", locked, got, n)
-		}
-		return (after.ShardLockAcquisitions - before.ShardLockAcquisitions) / n,
-			after.ReadLockAcquisitions - before.ReadLockAcquisitions
+	env := newFakeEnv(0)
+	cfg := DefaultConfig("b")
+	cfg.Shards = 4
+	b := New(env, cfg)
+	mustOpen(t, b, 1)
+	mustOpen(t, b, 2)
+	b.OnFrame(2, wire.Subscribe{SubID: 1, Dest: message.Topic("t")})
+	before := b.Stats()
+	const n = 50
+	for i := 0; i < n; i++ {
+		publishOn(b, 1, fmt.Sprintf("m%d", i), message.Topic("t"), nil)
 	}
-
-	if perPub, readLocks := run(false); perPub != 0 || readLocks != 0 {
-		t.Fatalf("snapshot mode: %d shard locks per publish, %d read locks (want 0, 0)", perPub, readLocks)
+	after := b.Stats()
+	if got := after.Delivered - before.Delivered; got != n {
+		t.Fatalf("delivered %d of %d publishes", got, n)
 	}
-	if perPub, readLocks := run(true); perPub != 1 || readLocks != 50 {
-		t.Fatalf("locked mode: %d shard locks per publish, %d read locks (want 1, 50)", perPub, readLocks)
+	if locks := after.ShardLockAcquisitions - before.ShardLockAcquisitions; locks != 0 {
+		t.Fatalf("%d shard locks over %d topic publishes, want 0", locks, n)
+	}
+	if after.ReadLockAcquisitions != 0 {
+		t.Fatalf("ReadLockAcquisitions = %d, want 0", after.ReadLockAcquisitions)
 	}
 }
 

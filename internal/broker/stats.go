@@ -1,8 +1,7 @@
 // Egress layer: Deliver-frame emission and broker counters. Counters
 // are atomics, so Stats() and PendingCount() are safe to call from any
-// goroutine while shards run publishes in parallel; deliverCost is the
-// single funnel every delivery passes through, called with the owning
-// shard's lock held.
+// goroutine while shards run publishes in parallel; deliverLive is the
+// single funnel every per-frame delivery passes through.
 
 package broker
 
@@ -30,11 +29,10 @@ type Stats struct {
 
 	// Contention observability. ReadLockAcquisitions counts shard-lock
 	// acquisitions taken by the publish path purely to read routing
-	// indexes — zero on the default snapshot read path, one per topic
-	// publish in the LockedReadPath/LegacyLinearScan baselines. The
-	// ShardLock* trio meters every frame-processing shard-lock
-	// acquisition: how many, how many had to wait, and the total
-	// nanoseconds spent waiting.
+	// indexes; topic routing reads the copy-on-write snapshot, so it is
+	// always zero and stays as a published meter. The ShardLock* trio
+	// meters every frame-processing shard-lock acquisition: how many,
+	// how many had to wait, and the total nanoseconds spent waiting.
 	ReadLockAcquisitions  uint64
 	ShardLockAcquisitions uint64
 	ShardLockContended    uint64
@@ -46,11 +44,8 @@ type Stats struct {
 	// MatchIndexCandidates counts candidates the discrimination index
 	// emitted; MatchGroupsSkipped counts selector groups the index
 	// proved could not match (their subscribers still count into
-	// SelectorRejected, keeping that meter mode-independent) and
-	// MatchDurablesSkipped the buffering durables likewise proved
-	// non-matching. With Config.LinearMatch (or the locked/legacy
-	// baselines) the index is not consulted: candidates/skipped stay 0
-	// and every group and buffering durable is evaluated.
+	// SelectorRejected) and MatchDurablesSkipped the buffering durables
+	// likewise proved non-matching.
 	MatchProgramEvals    uint64
 	MatchIndexCandidates uint64
 	MatchGroupsSkipped   uint64
@@ -66,8 +61,8 @@ type Stats struct {
 	// wire.DeliverBatch handed to Env.Send) and EgressFrames the
 	// Deliver frames carried inside them — EgressFrames/EgressFlushes
 	// is the average coalescing run length, surfaced as
-	// EgressFramesPerFlush on the daemons' /stats. All five are zero in
-	// SerialFanout mode and in every serial/locked baseline.
+	// EgressFramesPerFlush on the daemons' /stats. All five are zero
+	// over a SerialEnv.
 	FanoutTasks      uint64
 	FanoutChunks     uint64
 	FanoutInlineRuns uint64
@@ -101,7 +96,6 @@ type statCounters struct {
 	forwardedIn      atomic.Uint64
 	refusedConns     atomic.Uint64
 
-	readLockAcq        atomic.Uint64
 	shardLockAcq       atomic.Uint64
 	shardLockContended atomic.Uint64
 	shardLockWaitNs    atomic.Uint64
@@ -136,7 +130,6 @@ func (b *Broker) Stats() Stats {
 		ForwardedIn:      b.stats.forwardedIn.Load(),
 		RefusedConns:     b.stats.refusedConns.Load(),
 
-		ReadLockAcquisitions:  b.stats.readLockAcq.Load(),
 		ShardLockAcquisitions: b.stats.shardLockAcq.Load(),
 		ShardLockContended:    b.stats.shardLockContended.Load(),
 		ShardLockWaitNs:       b.stats.shardLockWaitNs.Load(),
@@ -162,39 +155,33 @@ func (b *Broker) PendingCount() int {
 	return int(b.stats.pending.Load())
 }
 
-// shareOrClone returns the message to hand to a delivery or backlog
-// entry: the frozen message itself on the default zero-copy path, or a
-// private deep copy when Config.CloneDeliveries restores the old
-// behaviour as a benchmark baseline.
-func (b *Broker) shareOrClone(m *message.Message) *message.Message {
-	if b.cfg.CloneDeliveries {
-		return m.Clone()
-	}
-	return m
-}
-
-// getDeliver acquires a Deliver frame under the ownership rule of
-// Config.DisableDeliverPool: pooled when the binding's transport
-// consumes each frame exactly once, GC-managed when it may retransmit
-// or hold frames (the simulator).
+// getDeliver acquires a Deliver frame: pooled, or GC-managed over a
+// SerialEnv, whose transport may retransmit or hold frames (the
+// simulator).
 func (b *Broker) getDeliver() *wire.Deliver {
-	if b.cfg.DisableDeliverPool {
+	if b.serialEnv {
 		return new(wire.Deliver)
 	}
 	return wire.GetDeliver()
 }
 
-// deliverTo sends a message to one subscription, tracking it as pending
-// until acknowledged.
-func (b *Broker) deliverTo(sub *subscription, m *message.Message) {
-	b.deliverCost(sub, m, int64(m.EncodedSize())+b.cfg.MemPerPendingOverhead)
+// deliverCost sends a message to one topic subscription, tracking it
+// as pending until acknowledged; cost is the delivery's memory charge,
+// priced once per publish. A durable subscription's deliveries go
+// through its durable state, which decides under its lock between live
+// delivery and buffering.
+func (b *Broker) deliverCost(sub *subscription, m *message.Message, cost int64) {
+	if sub.durable != nil {
+		b.deliverDurable(sub.durable, m, cost)
+		return
+	}
+	b.deliverLive(sub, m, cost)
 }
 
-// deliverCost is deliverTo with the delivery's memory cost precomputed,
-// so a topic fan-out prices the message once instead of per subscriber.
-// The frozen message is shared by reference across all deliveries; the
-// Deliver frame itself comes from a pool (unless the binding opted out),
-// returned by whichever transport consumes it.
+// deliverLive emits one Deliver frame to sub. The frozen message is
+// shared by reference across all deliveries; the Deliver frame itself
+// comes from a pool (except over a SerialEnv), returned by whichever
+// transport consumes it.
 //
 // Delivery state is guarded by the subscription's leaf lock, not the
 // shard lock: the snapshot publish path calls this with no shard lock
@@ -203,7 +190,7 @@ func (b *Broker) deliverTo(sub *subscription, m *message.Message) {
 // frame emission per subscription. A subscription dropped between
 // snapshot load and delivery is detached: skip it, or the allocation
 // would leak (nothing would ever free it).
-func (b *Broker) deliverCost(sub *subscription, m *message.Message, cost int64) {
+func (b *Broker) deliverLive(sub *subscription, m *message.Message, cost int64) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	if sub.detached {
@@ -223,6 +210,6 @@ func (b *Broker) deliverCost(sub *subscription, m *message.Message, cost int64) 
 	b.stats.delivered.Add(1)
 	b.stats.pending.Add(1)
 	d := b.getDeliver()
-	d.SubID, d.Tag, d.Msg = sub.id, tag, b.shareOrClone(m)
+	d.SubID, d.Tag, d.Msg = sub.id, tag, m
 	b.env.Send(sub.conn.id, d)
 }

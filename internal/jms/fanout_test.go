@@ -18,8 +18,8 @@ import (
 // envelopes on the partial-failure paths (the counting pool in
 // internal/wire — gets vs puts — is the leak detector).
 
-// TestBatchedFanoutDelivery subscribes enough listeners (spread over
-// two client connections) to push every publish over the parallel
+// TestBatchedFanoutDelivery subscribes 1000 listeners (spread over two
+// client connections), so every publish is far over the parallel
 // threshold, and checks that all deliveries arrive through the batched
 // path: the broker must report pool tasks and >1 frames per egress
 // flush, the transport >1 frames per socket flush, and every listener
@@ -30,8 +30,8 @@ func TestBatchedFanoutDelivery(t *testing.T) {
 	subB := dial(t, s, "subB")
 	pub := dial(t, s, "pub")
 
-	const subsPerConn = 40 // 80 total, over the default threshold of 64
-	const msgs = 20
+	const subsPerConn = 500
+	const msgs = 5
 	var got atomic.Int64
 	for _, c := range []*Connection{subA, subB} {
 		for i := 0; i < subsPerConn; i++ {

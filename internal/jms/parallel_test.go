@@ -2,6 +2,7 @@ package jms
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,30 +11,34 @@ import (
 	"gridmon/internal/message"
 )
 
-// Parallel-publish coverage for the sharded server: P publisher
+// Parallel-publish coverage for the TCP binding: P publisher
 // connections on distinct topics drive the core concurrently (reader
-// goroutines dispatch straight into destination shards), and the same
-// workload must behave identically under the SerialCore event-loop
-// baseline. The CI race job runs this package with -race, which makes
-// these tests the end-to-end locking check for the TCP binding.
+// goroutines dispatch straight into destination shards), with one shard
+// and with eight. Each catch-all subscriber must receive exactly the
+// messages published on its topic, once each, in publish order — what
+// the broker's reference model specifies for this workload. The CI race
+// job runs this package with -race, which makes these tests the
+// end-to-end locking check for the TCP binding.
 
-func runParallelTopics(t *testing.T, serial bool) {
+func runParallelTopics(t *testing.T, shards int) {
 	cfg := ServerConfig{}
 	cfg.Broker = broker.DefaultConfig("naradad")
-	cfg.Broker.SerialCore = serial
-	if !serial {
-		cfg.Broker.Shards = 8
-	}
+	cfg.Broker.Shards = shards
 	s := startServer(t, cfg)
 
 	const topics, perTopic = 4, 50
-	var counts [topics]atomic.Int64
+	var mu sync.Mutex
+	got := make([][]int32, topics)
 	subs := make([]*Connection, topics)
 	for i := 0; i < topics; i++ {
 		subs[i] = dial(t, s, fmt.Sprintf("sub-%d", i))
 		i := i
-		if _, err := subs[i].Subscribe(message.Topic(fmt.Sprintf("par.%d", i)), "", func(*message.Message) {
-			counts[i].Add(1)
+		if _, err := subs[i].Subscribe(message.Topic(fmt.Sprintf("par.%d", i)), "", func(m *message.Message) {
+			v, _ := m.Property("n")
+			n, _ := v.AsLong()
+			mu.Lock()
+			got[i] = append(got[i], int32(n))
+			mu.Unlock()
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -58,9 +63,21 @@ func runParallelTopics(t *testing.T, serial bool) {
 	}
 	wg.Wait()
 
+	want := make([]int32, perTopic)
+	for n := range want {
+		want[n] = int32(n)
+	}
 	for i := 0; i < topics; i++ {
-		i := i
-		waitFor(t, func() bool { return counts[i].Load() == perTopic })
+		waitFor(t, func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(got[i]) >= perTopic
+		})
+		mu.Lock()
+		if !slices.Equal(got[i], want) {
+			t.Errorf("topic par.%d delivered %v, want %v", i, got[i], want)
+		}
+		mu.Unlock()
 	}
 	st := s.Stats()
 	if st.Published != topics*perTopic || st.Delivered != topics*perTopic {
@@ -68,9 +85,9 @@ func runParallelTopics(t *testing.T, serial bool) {
 	}
 }
 
-func TestTCPParallelTopicsSharded(t *testing.T) { runParallelTopics(t, false) }
+func TestTCPParallelTopicsSharded(t *testing.T) { runParallelTopics(t, 8) }
 
-func TestTCPParallelTopicsSerialCore(t *testing.T) { runParallelTopics(t, true) }
+func TestTCPParallelTopicsSingleShard(t *testing.T) { runParallelTopics(t, 1) }
 
 // TestTCPStatsFromAnyGoroutine hammers Server.Stats while publishers
 // run: the counters are atomics in the broker's egress layer, so no

@@ -2,6 +2,7 @@ package rgmacore
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"gridmon/internal/rgma"
@@ -11,62 +12,100 @@ import (
 // Tests for the content-based matching index on the insert stream path.
 
 // TestCoreMatchIndexLinearEquivalenceRandomized drives the randomized
-// operation storm through an indexed core and a LinearMatch core (both
-// on the snapshot read path): every pop result and the final stats —
-// TuplesStreamed above all — must be identical; only the Match* meters
-// (zeroed by clearReadLocks) may differ.
+// operation storm with WHERE clauses the index keys on — equality,
+// ranges, conjunctions, disjunctions — and shapes it cannot key (NOT,
+// IS NULL) through cores of 1 and 8 shards and the reference model's
+// linear scan.
 func TestCoreMatchIndexLinearEquivalenceRandomized(t *testing.T) {
-	runCoreEquivalence(t, func(cfg *Config) {}, func(cfg *Config) {
-		cfg.LinearMatch = true
+	runCoreSpecStorm(t, []string{
+		"SELECT * FROM %s",
+		"SELECT * FROM %s WHERE site = 'aberdeen'",
+		"SELECT * FROM %s WHERE seq = 7",
+		"SELECT * FROM %s WHERE seq = 7 OR site = 'dundee'",
+		"SELECT * FROM %s WHERE seq > 90 AND site = 'dundee'",
+		"SELECT * FROM %s WHERE seq < 10 OR seq > 90",
+		"SELECT * FROM %s WHERE NOT seq = 3",
+		"SELECT * FROM %s WHERE site IS NULL",
+		"SELECT * FROM %s WHERE genid = 3 AND seq >= 50",
 	})
 }
 
-// TestCoreMatchIndexMeters pins the index's observable contract on a
-// hot table with many disjoint equality WHEREs: indexed mode evaluates
-// only the candidate consumers per insert (here exactly one), while
-// LinearMatch evaluates all of them; both stream identically.
+// TestCoreMatchIndexMeters gates the index on a hot table with 1000
+// distinct equality WHEREs: at most one program evaluation per insert,
+// while streaming exactly what the reference model's linear scan does.
 func TestCoreMatchIndexMeters(t *testing.T) {
-	const consumers = 64
-	run := func(linear bool) Stats {
-		c := New(Config{Shards: 2, LinearMatch: linear})
-		mustCreateTable(t, c, "CREATE TABLE hot (genid INTEGER PRIMARY KEY, site CHAR(20))")
+	const consumers, inserts = 1000, 200
+	const ddl = "CREATE TABLE hot (genid INTEGER PRIMARY KEY, site CHAR(20))"
+	query := func(i int) string { return fmt.Sprintf("SELECT * FROM hot WHERE site = 'c%d'", i) }
+	insert := func(i int) string { return fmt.Sprintf("INSERT INTO hot (genid, site) VALUES (%d, 'c%d')", i, i*5) }
+
+	// The reference model's pops: producer id 1, consumer ids 2.. .
+	ref := newRefCore(func() sim.Time { return 0 })
+	if _, err := ref.CreateTable(ddl); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.CreateProducer("hot", sim.Second, sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < consumers; i++ {
+		if _, err := ref.CreateConsumer(query(i), rgma.ContinuousQuery); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < inserts; i++ {
+		if err := ref.Insert(1, insert(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([][]PopTuple, consumers)
+	for i := range want {
+		want[i], _ = ref.Pop(int64(i + 2))
+	}
+
+	for _, shards := range specShards {
+		c := New(Config{Shards: shards})
+		c.clock = func() sim.Time { return 0 }
+		mustCreateTable(t, c, ddl)
 		p, err := c.CreateProducer("hot", sim.Second, sim.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var cns []*Consumer
 		for i := 0; i < consumers; i++ {
-			q := fmt.Sprintf("SELECT * FROM hot WHERE site = 'c%d'", i)
-			if _, err := c.CreateConsumer(q, rgma.ContinuousQuery, nil); err != nil {
+			cn, err := c.CreateConsumer(query(i), rgma.ContinuousQuery, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cns = append(cns, cn)
+		}
+		for i := 0; i < inserts; i++ {
+			if err := c.Insert(p.ID(), insert(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for i := 0; i < consumers; i++ {
-			stmt := fmt.Sprintf("INSERT INTO hot (genid, site) VALUES (%d, 'c%d')", i, i)
-			if err := c.Insert(p.ID(), stmt); err != nil {
+		st := c.StatsSnapshot()
+		for i, cn := range cns {
+			got, err := c.Pop(cn.ID())
+			if err != nil {
 				t.Fatal(err)
 			}
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("shards=%d: consumer %d popped %v, want %v", shards, i, got, want[i])
+			}
 		}
-		return c.StatsSnapshot()
-	}
-
-	idx, lin := run(false), run(true)
-	if idx.TuplesStreamed != consumers || lin.TuplesStreamed != consumers {
-		t.Fatalf("streamed: indexed %d, linear %d, want %d each", idx.TuplesStreamed, lin.TuplesStreamed, consumers)
-	}
-	if want := uint64(consumers * consumers); lin.MatchProgramEvals != want {
-		t.Fatalf("linear MatchProgramEvals = %d, want %d", lin.MatchProgramEvals, want)
-	}
-	if want := uint64(consumers); idx.MatchProgramEvals != want {
-		t.Fatalf("indexed MatchProgramEvals = %d, want %d (one candidate per insert)", idx.MatchProgramEvals, want)
-	}
-	if idx.MatchIndexCandidates != idx.MatchProgramEvals {
-		t.Fatalf("MatchIndexCandidates %d != MatchProgramEvals %d", idx.MatchIndexCandidates, idx.MatchProgramEvals)
-	}
-	if want := uint64(consumers * (consumers - 1)); idx.MatchConsumersSkipped != want {
-		t.Fatalf("MatchConsumersSkipped = %d, want %d", idx.MatchConsumersSkipped, want)
-	}
-	if lin.MatchIndexCandidates != 0 || lin.MatchConsumersSkipped != 0 {
-		t.Fatalf("linear mode moved index meters: %+v", lin)
+		if st.TuplesStreamed != inserts {
+			t.Fatalf("shards=%d: streamed %d, want %d", shards, st.TuplesStreamed, inserts)
+		}
+		if st.MatchProgramEvals > inserts {
+			t.Fatalf("shards=%d: %d program evaluations over %d inserts, want at most 1 per insert",
+				shards, st.MatchProgramEvals, inserts)
+		}
+		if st.MatchIndexCandidates != st.MatchProgramEvals {
+			t.Fatalf("shards=%d: MatchIndexCandidates %d != MatchProgramEvals %d", shards, st.MatchIndexCandidates, st.MatchProgramEvals)
+		}
+		if want := uint64(inserts * (consumers - 1)); st.MatchConsumersSkipped != want {
+			t.Fatalf("shards=%d: MatchConsumersSkipped = %d, want %d", shards, st.MatchConsumersSkipped, want)
+		}
 	}
 }
 

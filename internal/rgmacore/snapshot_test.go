@@ -14,75 +14,62 @@ import (
 // Tests for the lock-free (snapshot) read paths: Insert's continuous-
 // consumer scan and Pop's latest/history producer gather. Mirrors the
 // obligations of internal/broker's snapshot_test.go: snapshot routing
-// must be observably identical to locked routing for any single-caller
-// operation sequence, survive concurrent index churn under -race, and
-// the ReadLockAcquisitions meter must prove which path ran.
+// must match the reference model (refmodel_test.go) for any
+// single-caller operation sequence, survive concurrent index churn
+// under -race, and take no read-path locks.
 
-// clearReadLocks zeroes the stats fields that legitimately differ
-// across read-path and match modes — the lock meter and the matching-
-// index meters. Everything else, TuplesStreamed above all, must match
-// exactly: the index may only skip consumers whose predicate could not
-// have matched.
-func clearReadLocks(s Stats) Stats {
-	s.ReadLockAcquisitions = 0
-	s.MatchProgramEvals = 0
-	s.MatchIndexCandidates = 0
-	s.MatchConsumersSkipped = 0
-	return s
-}
-
-// TestCoreSnapshotLockedEquivalenceRandomized drives identical
-// randomized operation sequences — table declares, producer and
-// consumer create/close churn (all query types), inserts, pops —
-// through a snapshot-path core and a locked-path core from a single
-// goroutine, comparing every pop result and error as it happens and the
-// full stats at the end. Any index mutation missing its refreshSnap
-// shows up as a pop divergence.
+// TestCoreSnapshotLockedEquivalenceRandomized drives the randomized
+// operation storm through cores of 1 and 8 shards and the reference
+// model. Any index mutation missing its refreshSnap shows up as a pop
+// divergence.
 func TestCoreSnapshotLockedEquivalenceRandomized(t *testing.T) {
-	runCoreEquivalence(t, func(cfg *Config) {}, func(cfg *Config) {
-		cfg.LockedReadPath = true
-	})
-}
-
-// runCoreEquivalence drives the randomized operation storm through two
-// cores differing only by the given config mutations and requires
-// identical observable behaviour (pop results, errors, stats modulo
-// clearReadLocks). Shared by the snapshot-vs-locked and
-// indexed-vs-linear-match suites.
-func runCoreEquivalence(t *testing.T, mutA, mutB func(*Config)) {
-	t.Helper()
-	tables := []string{"ta", "tb", "tc"}
-	queries := []string{
+	runCoreSpecStorm(t, []string{
 		"SELECT * FROM %s",
 		"SELECT * FROM %s WHERE seq < 50",
 		"SELECT * FROM %s WHERE seq >= 50",
 		"SELECT * FROM %s WHERE site = 'aberdeen'",
-	}
+	})
+}
+
+// runCoreSpecStorm drives identical randomized operation sequences —
+// table declares, producer and consumer create/close churn (all query
+// types, queries drawn from the given templates), inserts, pops —
+// through the reference model and one core per shard count from a
+// single goroutine, comparing every result and error as it happens and
+// the stats at the end.
+func runCoreSpecStorm(t *testing.T, queries []string) {
+	t.Helper()
+	tables := []string{"ta", "tb", "tc"}
 	qtypes := []rgma.QueryType{rgma.ContinuousQuery, rgma.LatestQuery, rgma.HistoryQuery}
 
 	for seed := int64(1); seed <= 5; seed++ {
 		var now sim.Time
-		mk := func(mutate func(*Config)) *Core {
-			cfg := Config{Shards: 4}
-			mutate(&cfg)
-			c := New(cfg)
-			c.clock = func() sim.Time { return now }
-			return c
+		clock := func() sim.Time { return now }
+		ref := newRefCore(clock)
+		var cores []*Core
+		for _, n := range specShards {
+			c := New(Config{Shards: n})
+			c.clock = clock
+			cores = append(cores, c)
 		}
-		cSnap, cLock := mk(mutA), mk(mutB)
-		both := func(fn func(c *Core) error) error {
-			errS, errL := fn(cSnap), fn(cLock)
-			if (errS == nil) != (errL == nil) {
-				t.Fatalf("seed %d: snapshot err %v, locked err %v", seed, errS, errL)
+		// check runs one operation on the model and every core, and
+		// requires each core to agree with the model on the result and
+		// on whether it failed.
+		check := func(op string, model func() (any, error), prod func(c *Core) (any, error)) (any, error) {
+			want, wantErr := model()
+			for i, c := range cores {
+				got, err := prod(c)
+				if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d shards=%d %s: got %v (err %v), want %v (err %v)",
+						seed, specShards[i], op, got, err, want, wantErr)
+				}
 			}
-			return errS
+			return want, wantErr
 		}
 		for _, tab := range tables {
-			if err := both(func(c *Core) error {
-				_, err := c.CreateTable(fmt.Sprintf(
-					"CREATE TABLE %s (genid INTEGER PRIMARY KEY, seq INTEGER, site CHAR(20))", tab))
-				return err
-			}); err != nil {
+			ddl := fmt.Sprintf("CREATE TABLE %s (genid INTEGER PRIMARY KEY, seq INTEGER, site CHAR(20))", tab)
+			if _, err := check(ddl, func() (any, error) { return ref.CreateTable(ddl) },
+				func(c *Core) (any, error) { return c.CreateTable(ddl) }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -95,15 +82,17 @@ func runCoreEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 			case r < 3: // create a producer (sometimes default retention)
 				tab := tables[rng.Intn(len(tables))]
 				ret := sim.Time(rng.Intn(3)) * sim.Second
-				var id int64
-				if err := both(func(c *Core) error {
-					p, err := c.CreateProducer(tab, ret, ret)
-					if err == nil {
-						id = p.ID()
-					}
-					return err
-				}); err == nil {
-					producers = append(producers, id)
+				id, err := check("create producer",
+					func() (any, error) { return ref.CreateProducer(tab, ret, ret) },
+					func(c *Core) (any, error) {
+						p, err := c.CreateProducer(tab, ret, ret)
+						if err != nil {
+							return int64(0), err
+						}
+						return p.ID(), nil
+					})
+				if err == nil {
+					producers = append(producers, id.(int64))
 				}
 			case r < 5: // close a producer
 				if len(producers) == 0 {
@@ -112,19 +101,22 @@ func runCoreEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 				i := rng.Intn(len(producers))
 				id := producers[i]
 				producers = append(producers[:i], producers[i+1:]...)
-				both(func(c *Core) error { return c.CloseProducer(id) })
+				check("close producer", func() (any, error) { return nil, ref.CloseProducer(id) },
+					func(c *Core) (any, error) { return nil, c.CloseProducer(id) })
 			case r < 9: // create a consumer (any query type)
 				q := fmt.Sprintf(queries[rng.Intn(len(queries))], tables[rng.Intn(len(tables))])
 				qt := qtypes[rng.Intn(len(qtypes))]
-				var id int64
-				if err := both(func(c *Core) error {
-					cn, err := c.CreateConsumer(q, qt, nil)
-					if err == nil {
-						id = cn.ID()
-					}
-					return err
-				}); err == nil {
-					consumers = append(consumers, id)
+				id, err := check("create consumer "+q,
+					func() (any, error) { return ref.CreateConsumer(q, qt) },
+					func(c *Core) (any, error) {
+						cn, err := c.CreateConsumer(q, qt, nil)
+						if err != nil {
+							return int64(0), err
+						}
+						return cn.ID(), nil
+					})
+				if err == nil {
+					consumers = append(consumers, id.(int64))
 				}
 			case r < 11: // close a consumer
 				if len(consumers) == 0 {
@@ -133,21 +125,15 @@ func runCoreEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 				i := rng.Intn(len(consumers))
 				id := consumers[i]
 				consumers = append(consumers[:i], consumers[i+1:]...)
-				both(func(c *Core) error { return c.CloseConsumer(id) })
+				check("close consumer", func() (any, error) { return nil, ref.CloseConsumer(id) },
+					func(c *Core) (any, error) { return nil, c.CloseConsumer(id) })
 			case r < 14: // pop a consumer, comparing the delivered tuples
 				if len(consumers) == 0 {
 					continue
 				}
 				id := consumers[rng.Intn(len(consumers))]
-				gotS, errS := cSnap.Pop(id)
-				gotL, errL := cLock.Pop(id)
-				if (errS == nil) != (errL == nil) {
-					t.Fatalf("seed %d op %d: pop err %v vs %v", seed, op, errS, errL)
-				}
-				if !reflect.DeepEqual(gotS, gotL) {
-					t.Fatalf("seed %d op %d: pop of %d diverged\nsnapshot: %v\nlocked:   %v",
-						seed, op, id, gotS, gotL)
-				}
+				check(fmt.Sprintf("op %d pop %d", op, id), func() (any, error) { return ref.Pop(id) },
+					func(c *Core) (any, error) { return c.Pop(id) })
 			default: // insert through a random live producer
 				if len(producers) == 0 {
 					continue
@@ -157,29 +143,29 @@ func runCoreEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 					"INSERT INTO %s (genid, seq, site) VALUES (%d, %d, '%s')",
 					tables[rng.Intn(len(tables))], rng.Intn(20), rng.Intn(100),
 					[]string{"aberdeen", "dundee"}[rng.Intn(2)])
-				both(func(c *Core) error { return c.Insert(id, stmt) })
+				if rng.Intn(10) == 0 {
+					// A NULL site: only IS NULL matches it.
+					stmt = fmt.Sprintf("INSERT INTO %s (genid, seq) VALUES (%d, %d)",
+						tables[rng.Intn(len(tables))], rng.Intn(20), rng.Intn(100))
+				}
+				check("insert", func() (any, error) { return nil, ref.Insert(id, stmt) },
+					func(c *Core) (any, error) { return nil, c.Insert(id, stmt) })
 			}
 		}
 
-		ss, sl := clearReadLocks(cSnap.StatsSnapshot()), clearReadLocks(cLock.StatsSnapshot())
-		if ss != sl {
-			t.Fatalf("seed %d: A stats %+v != B %+v", seed, ss, sl)
-		}
-		if !cSnap.lockedRead {
-			if got := cSnap.StatsSnapshot().ReadLockAcquisitions; got != 0 {
-				t.Fatalf("seed %d: snapshot core took %d read-path locks", seed, got)
+		for i, c := range cores {
+			if got := specStats(c.StatsSnapshot()); got != ref.stats {
+				t.Fatalf("seed %d shards=%d: stats\n got  %+v\n want %+v", seed, specShards[i], got, ref.stats)
 			}
 		}
 	}
 }
 
-// TestCoreReadPathLockMeters pins the meter contract: the snapshot path
-// records zero read-path lock acquisitions; the locked baseline records
-// exactly one per insert and one per latest/history pop (continuous
-// drains touch only the consumer's own buffer lock in both modes).
+// TestCoreReadPathLockMeters pins the meter contract: inserts and
+// latest/continuous pops record zero read-path lock acquisitions.
 func TestCoreReadPathLockMeters(t *testing.T) {
-	run := func(locked bool) uint64 {
-		c := New(Config{Shards: 2, LockedReadPath: locked})
+	run := func() uint64 {
+		c := New(Config{Shards: 2})
 		mustCreateTable(t, c, testTableSQL)
 		p, err := c.CreateProducer("g", sim.Second, sim.Second)
 		if err != nil {
@@ -210,22 +196,20 @@ func TestCoreReadPathLockMeters(t *testing.T) {
 		}
 		return c.StatsSnapshot().ReadLockAcquisitions
 	}
-	if got := run(false); got != 0 {
-		t.Fatalf("snapshot mode took %d read-path locks, want 0", got)
-	}
-	if got, want := run(true), uint64(40+10); got != want {
-		t.Fatalf("locked mode recorded %d read-path locks, want %d", got, want)
+	if got := run(); got != 0 {
+		t.Fatalf("took %d read-path locks, want 0", got)
 	}
 }
 
 // TestCoreSnapshotChurnEquivalence is the concurrent storm: goroutines
 // churn producers and continuous consumers (create, pop, close) while
-// inserters hammer the same tables, once per read-path mode. Delivery
-// during the storm is inherently racy in both modes, so phase 1 asserts
-// safety only (no races under -race, clean teardown). Then the storm
-// quiesces — every phase-1 resource closed — and a deterministic probe
-// set over fresh producers must pop identical tuples in both modes,
-// proving the churned-up snapshots converged to the locked index state.
+// inserters hammer the same tables, for 1 and 8 shards. Delivery during
+// the storm is inherently racy, so phase 1 asserts safety only (no
+// races under -race, clean teardown, no read-path locks). Then the
+// storm quiesces — every phase-1 resource closed — and a deterministic
+// probe set over fresh producers must pop what the reference model pops
+// for the same probe, proving the churned-up snapshots and matching
+// indexes converged to an empty index.
 func TestCoreSnapshotChurnEquivalence(t *testing.T) {
 	const (
 		churners  = 4
@@ -239,17 +223,79 @@ func TestCoreSnapshotChurnEquivalence(t *testing.T) {
 		"SELECT * FROM %s",
 		"SELECT * FROM %s WHERE seq < 50",
 		"SELECT * FROM %s WHERE seq >= 50",
+		"SELECT * FROM %s WHERE seq = 7 OR site = 'churn'",
+	}
+	ddl := func(tab string) string {
+		return fmt.Sprintf("CREATE TABLE %s (genid INTEGER PRIMARY KEY, seq INTEGER, site CHAR(20))", tab)
 	}
 
-	run := func(mutate func(*Config)) map[int][]PopTuple {
-		cfg := Config{Shards: 4}
-		mutate(&cfg)
-		locked := cfg.LockedReadPath
-		c := New(cfg)
+	// probe is phase 2: consumers of every query type, fresh producers,
+	// a deterministic insert batch, then one pop per consumer. The
+	// callbacks bind it to a Core or to the reference model.
+	type probeSpec struct {
+		query string
+		qtype rgma.QueryType
+	}
+	specs := []probeSpec{
+		{"SELECT * FROM t0", rgma.ContinuousQuery},
+		{"SELECT * FROM t0 WHERE seq < 50", rgma.ContinuousQuery},
+		{"SELECT * FROM t1 WHERE seq >= 50", rgma.ContinuousQuery},
+		{"SELECT * FROM t2 WHERE seq = 7 OR seq = 8", rgma.ContinuousQuery},
+		{"SELECT * FROM t0 WHERE seq < 25", rgma.LatestQuery},
+		{"SELECT * FROM t1", rgma.HistoryQuery},
+	}
+	probe := func(consume func(string, rgma.QueryType) (int64, error), produce func(string) (int64, error),
+		insert func(int64, string) error, pop func(int64) ([]PopTuple, error)) map[int][]PopTuple {
+		var probes []int64
+		for _, s := range specs {
+			id, err := consume(s.query, s.qtype)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probes = append(probes, id)
+		}
+		prods := make(map[string]int64, len(tables))
+		for _, tab := range tables {
+			id, err := produce(tab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prods[tab] = id
+		}
+		rng := rand.New(rand.NewSource(42))
+		for i := 0; i < probeMsgs; i++ {
+			tab := tables[rng.Intn(len(tables))]
+			stmt := fmt.Sprintf("INSERT INTO %s (genid, seq, site) VALUES (%d, %d, 'probe')",
+				tab, i, rng.Intn(100))
+			if err := insert(prods[tab], stmt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := make(map[int][]PopTuple)
+		for i, id := range probes {
+			out, err := pop(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = out
+		}
+		return got
+	}
+	ref := newRefCore(func() sim.Time { return 0 })
+	for _, tab := range tables {
+		if _, err := ref.CreateTable(ddl(tab)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := probe(ref.CreateConsumer,
+		func(tab string) (int64, error) { return ref.CreateProducer(tab, sim.Second, sim.Second) },
+		ref.Insert, ref.Pop)
+
+	for _, shards := range specShards {
+		c := New(Config{Shards: shards})
 		c.clock = func() sim.Time { return 0 }
 		for _, tab := range tables {
-			mustCreateTable(t, c, fmt.Sprintf(
-				"CREATE TABLE %s (genid INTEGER PRIMARY KEY, seq INTEGER, site CHAR(20))", tab))
+			mustCreateTable(t, c, ddl(tab))
 		}
 
 		// --- Phase 1: index churn under concurrent inserting.
@@ -343,74 +389,32 @@ func TestCoreSnapshotChurnEquivalence(t *testing.T) {
 		// gathers below see only phase-2 producers and the continuous
 		// probes buffer only phase-2 inserts.
 		if p, cn := c.RegistryCounts(); p != 0 || cn != 0 {
-			t.Fatalf("locked=%v: %d producers, %d consumers survived the storm", locked, p, cn)
+			t.Fatalf("shards=%d: %d producers, %d consumers survived the storm", shards, p, cn)
 		}
 
 		// --- Phase 2: deterministic probe over the quiesced core.
-		type probeSpec struct {
-			query string
-			qtype rgma.QueryType
+		got := probe(
+			func(q string, qt rgma.QueryType) (int64, error) {
+				cn, err := c.CreateConsumer(q, qt, nil)
+				if err != nil {
+					return 0, err
+				}
+				return cn.ID(), nil
+			},
+			func(tab string) (int64, error) {
+				p, err := c.CreateProducer(tab, sim.Second, sim.Second)
+				if err != nil {
+					return 0, err
+				}
+				return p.ID(), nil
+			},
+			c.Insert, c.Pop)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: post-churn probe pops diverge from the reference model:\n got  %v\n want %v",
+				shards, got, want)
 		}
-		specs := []probeSpec{
-			{"SELECT * FROM t0", rgma.ContinuousQuery},
-			{"SELECT * FROM t0 WHERE seq < 50", rgma.ContinuousQuery},
-			{"SELECT * FROM t1 WHERE seq >= 50", rgma.ContinuousQuery},
-			{"SELECT * FROM t2", rgma.ContinuousQuery},
-			{"SELECT * FROM t0 WHERE seq < 25", rgma.LatestQuery},
-			{"SELECT * FROM t1", rgma.HistoryQuery},
+		if rl := c.StatsSnapshot().ReadLockAcquisitions; rl != 0 {
+			t.Fatalf("shards=%d: %d read-path shard locks", shards, rl)
 		}
-		var probes []*Consumer
-		for _, s := range specs {
-			cn, err := c.CreateConsumer(s.query, s.qtype, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			probes = append(probes, cn)
-		}
-		prods := make(map[string]*Producer, len(tables))
-		for _, tab := range tables {
-			p, err := c.CreateProducer(tab, sim.Second, sim.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prods[tab] = p
-		}
-		rng := rand.New(rand.NewSource(42))
-		for i := 0; i < probeMsgs; i++ {
-			tab := tables[rng.Intn(len(tables))]
-			stmt := fmt.Sprintf("INSERT INTO %s (genid, seq, site) VALUES (%d, %d, 'probe')",
-				tab, i, rng.Intn(100))
-			if err := c.Insert(prods[tab].ID(), stmt); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got := make(map[int][]PopTuple)
-		for i, cn := range probes {
-			out, err := c.Pop(cn.ID())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got[i] = out
-		}
-		if !locked {
-			if rl := c.StatsSnapshot().ReadLockAcquisitions; rl != 0 {
-				t.Fatalf("snapshot mode took %d read-path shard locks", rl)
-			}
-		}
-		return got
-	}
-
-	snap := run(func(cfg *Config) {})
-	lock := run(func(cfg *Config) { cfg.LockedReadPath = true })
-	if !reflect.DeepEqual(snap, lock) {
-		t.Fatalf("post-churn probe pops diverge:\nsnapshot: %v\nlocked:   %v", snap, lock)
-	}
-
-	// Same storm, matching index on vs off: the storm phase races
-	// concurrent per-table index rebuilds against indexed inserts under
-	// -race; the quiesced probes must pop identically.
-	linear := run(func(cfg *Config) { cfg.LinearMatch = true })
-	if !reflect.DeepEqual(snap, linear) {
-		t.Fatalf("post-churn probe pops diverge:\nindexed: %v\nlinear:  %v", snap, linear)
 	}
 }

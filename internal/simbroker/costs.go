@@ -121,8 +121,9 @@ func (c Costs) brokerSendCost(f wire.Frame, tr Transport) sim.Time {
 	case wire.Deliver, *wire.Deliver:
 		return c.BrokerDeliverBase + sim.Time(frameBytes(f))*c.BrokerPerByte + tr.DataOverhead
 	case *wire.DeliverBatch:
-		// Parity with the N Deliver frames the batch replaces (the sim
-		// hosts force SerialFanout, so this prices hypothetical runs).
+		// Parity with the N Deliver frames the batch replaces (sim hosts
+		// are serial Envs and never receive batches, so this prices
+		// hypothetical runs).
 		return sim.Time(len(v.Entries))*(c.BrokerDeliverBase+tr.DataOverhead) +
 			sim.Time(frameBytes(f))*c.BrokerPerByte
 	default:

@@ -39,23 +39,9 @@ type hostLink struct {
 	rel  *relChan // non-nil for unreliable transports
 }
 
-// NewHost creates a broker on the given simulated node.
-//
-// The simulated transports carry frames by reference and may hold a
-// Deliver frame indefinitely (unreliable transports keep it queued for
-// retransmission until acked or abandoned), so the consume-exactly-once
-// ownership rule of the wire frame pool cannot hold here. The host
-// therefore opts the broker out of the pool: sim deliveries are
-// GC-managed, and wire.PutDeliver is never called on them.
-//
-// The host also forces the serial fan-out: its Env runs inside the
-// single-threaded simulation kernel (Send schedules events, Alloc
-// charges a non-atomic heap), so the parallel engine's concurrent
-// chunk workers may not call it — and the figures' event order must
-// stay deterministic regardless of GOMAXPROCS.
+// NewHost creates a broker on the given simulated node. The host is a
+// broker.SerialEnv (see SerialEnv).
 func NewHost(net *simnet.Network, node *simnet.Node, cfg broker.Config, costs Costs) *Host {
-	cfg.DisableDeliverPool = true
-	cfg.SerialFanout = true
 	h := &Host{
 		net:    net,
 		k:      net.Kernel(),
@@ -100,6 +86,18 @@ func (h *Host) Sampler() *simproc.Sampler { return h.sampler }
 func (h *Host) NativeUsed() int64 { return h.native.Used() }
 
 // --- broker.Env implementation ---
+
+// SerialEnv implements broker.SerialEnv. The simulated transports carry
+// frames by reference and may hold a Deliver frame indefinitely
+// (unreliable transports keep it queued for retransmission until acked
+// or abandoned), so the consume-exactly-once ownership rule of the wire
+// frame pool cannot hold here: sim deliveries are GC-managed, and
+// wire.PutDeliver is never called on them. The Env also runs inside the
+// single-threaded simulation kernel (Send schedules events, Alloc
+// charges a non-atomic heap), so the parallel fan-out engine's
+// concurrent workers may not call it — and the figures' event order
+// must stay deterministic regardless of GOMAXPROCS.
+func (h *Host) SerialEnv() bool { return true }
 
 // Now implements broker.Env.
 func (h *Host) Now() int64 { return int64(h.k.Now()) }

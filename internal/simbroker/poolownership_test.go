@@ -14,15 +14,19 @@ import (
 // The wire Deliver-frame pool requires consume-exactly-once ownership.
 // The simulator cannot provide it: its transports carry frames by
 // reference and the unreliable ones keep a frame queued for
-// retransmission until acked or abandoned. NewHost therefore opts the
-// broker out of the pool (broker.Config.DisableDeliverPool), and these
-// tests pin that ownership rule down.
+// retransmission until acked or abandoned. The host therefore declares
+// itself a broker.SerialEnv, which opts the broker out of the pool, and
+// these tests pin that ownership rule down.
 
 func TestHostOptsOutOfDeliverPool(t *testing.T) {
 	r := newRig(t)
-	if !r.host.Broker().Config().DisableDeliverPool {
-		t.Fatal("simbroker host must disable the Deliver-frame pool: " +
+	var env broker.Env = r.host
+	if se, ok := env.(broker.SerialEnv); !ok || !se.SerialEnv() {
+		t.Fatal("simbroker host must be a broker.SerialEnv: " +
 			"retransmission may hold frames past delivery")
+	}
+	if r.host.Broker().FanoutPool() != nil {
+		t.Fatal("broker over a SerialEnv started the parallel fan-out engine")
 	}
 }
 

@@ -196,8 +196,8 @@ type BrokerLink struct {
 // anything that retransmits, fans a frame out to several holders, or
 // parks frames in queues with independent lifetimes — must not use the
 // pool at all: the simulator's by-reference transports opt the broker
-// out via broker.Config.DisableDeliverPool and leave their frames to
-// the GC, which is always safe; releasing a frame someone still
+// out by declaring their Env a broker.SerialEnv and leave their frames
+// to the GC, which is always safe; releasing a frame someone still
 // references is not.
 var deliverPool = sync.Pool{New: func() any { return new(Deliver) }}
 

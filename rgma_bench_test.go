@@ -6,13 +6,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"gridmon/internal/rgma"
 	"gridmon/internal/rgmahttp"
@@ -23,16 +20,12 @@ import (
 // its own table shard, with one producer inserting and one continuous
 // consumer popping — drive the HTTP handler concurrently, the full
 // servlet path the paper measured (JSON decode, SQL parse, typed store
-// insert, compiled-predicate streaming, buffered pop). In sharded mode
-// each lane runs the whole insert→stream→pop cycle inline on its own
-// goroutine, meeting the others only on shard locks; Config.Serial
-// funnels every request behind the seed's global mutex as the measured
-// baseline (the same A/B pattern as broker.Config.SerialCore).
+// insert, compiled-predicate streaming, buffered pop). Each lane runs
+// the whole insert→stream→pop cycle inline on its own goroutine,
+// meeting the others only on shard locks.
 //
-// `go test -bench RGMA -cpu 1,4,8` runs the matrix;
-// `BENCH_RGMA_OUT=BENCH_rgma.json go test -run TestWriteRGMABench .`
-// times every cell across GOMAXPROCS values — including the
-// compiled-vs-interpreted predicate table — and writes the curves.
+// `go test -bench RGMA -cpu 1,4,8` runs the matrix, including the
+// compiled-vs-interpreted predicate table.
 
 // rgmaLaneNames picks one table name per shard-distinct slot, so the P
 // lanes occupy P distinct lock domains (a hash collision would silently
@@ -68,12 +61,8 @@ func rgmaCall(b *testing.B, h http.Handler, method, target, body string) {
 // concurrent lanes; every lane drains its continuous consumer each 32
 // inserts, so streamed buffers stay bounded and the pop path is in the
 // measured mix.
-func benchmarkRGMAInsertPop(b *testing.B, lanes int, serial bool) {
-	cfg := rgmahttp.Config{Serial: serial}
-	if !serial {
-		cfg.Shards = lanes
-	}
-	s := rgmahttp.NewServerWith(cfg)
+func benchmarkRGMAInsertPop(b *testing.B, lanes int) {
+	s := rgmahttp.NewServerWith(rgmahttp.Config{Shards: lanes})
 	h := s.Handler()
 	names := rgmaLaneNames(s, lanes)
 
@@ -151,11 +140,9 @@ func benchmarkRGMAInsertPop(b *testing.B, lanes int, serial bool) {
 
 func BenchmarkRGMAParallelInsertPop(b *testing.B) {
 	for _, lanes := range []int{1, 8} {
-		for _, mode := range []string{"sharded", "serial"} {
-			b.Run(fmt.Sprintf("lanes=%d/%s", lanes, mode), func(b *testing.B) {
-				benchmarkRGMAInsertPop(b, lanes, mode == "serial")
-			})
-		}
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			benchmarkRGMAInsertPop(b, lanes)
+		})
 	}
 }
 
@@ -195,147 +182,5 @@ func rgmaPredicateCases() []rgmaPredCase {
 		{"simple", "SELECT * FROM generator WHERE genid < 10000"},
 		{"string", "SELECT * FROM generator WHERE site = 'site-0007'"},
 		{"complex", "SELECT * FROM generator WHERE (genid < 100 OR status = 'RUNNING') AND power > 100 AND seq IS NOT NULL"},
-	}
-}
-
-// --- BENCH_rgma.json harness ---
-
-type rgmaParallelCell struct {
-	CPUs          int     `json:"gomaxprocs"`
-	Lanes         int     `json:"lanes"`
-	ShardedNsOp   float64 `json:"sharded_ns_per_insert"`
-	SerialNsOp    float64 `json:"serial_ns_per_insert"`
-	ShardedInsSec float64 `json:"sharded_inserts_per_sec"`
-	SerialInsSec  float64 `json:"serial_inserts_per_sec"`
-	Speedup       float64 `json:"speedup_vs_serial_mutex"`
-}
-
-type rgmaPredicateCell struct {
-	Query         string  `json:"query"`
-	InterpretedNs float64 `json:"interpreted_ns_per_row"`
-	CompiledNs    float64 `json:"compiled_ns_per_row"`
-	Speedup       float64 `json:"speedup_compiled_vs_interpreted"`
-}
-
-type rgmaTransportCell struct {
-	Transport  string  `json:"transport"`
-	Mode       string  `json:"mode"`
-	PollMs     float64 `json:"poll_interval_ms,omitempty"`
-	MedianMs   float64 `json:"median_insert_to_deliver_ms"`
-	P99Ms      float64 `json:"p99_insert_to_deliver_ms"`
-	Samples    int     `json:"samples"`
-	SpeedupMed float64 `json:"median_speedup_vs_http_poll,omitempty"`
-}
-
-// TestWriteRGMABench times the sharded R-GMA service against the
-// serial global-mutex baseline across GOMAXPROCS values, plus the
-// compiled-vs-interpreted predicate table, and writes BENCH_rgma.json.
-// Gated behind an env var so the regular test run stays fast:
-// BENCH_RGMA_OUT=BENCH_rgma.json go test -run TestWriteRGMABench .
-func TestWriteRGMABench(t *testing.T) {
-	out := os.Getenv("BENCH_RGMA_OUT")
-	if out == "" {
-		t.Skip("set BENCH_RGMA_OUT to write the R-GMA benchmark file")
-	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	var parallel []rgmaParallelCell
-	for _, cpus := range []int{1, 4, 8} {
-		runtime.GOMAXPROCS(cpus)
-		const lanes = 8
-		cell := rgmaParallelCell{CPUs: cpus, Lanes: lanes}
-		for _, serial := range []bool{false, true} {
-			serial := serial
-			r := testing.Benchmark(func(b *testing.B) {
-				benchmarkRGMAInsertPop(b, lanes, serial)
-			})
-			ns := float64(r.T.Nanoseconds()) / float64(r.N)
-			if serial {
-				cell.SerialNsOp = ns
-				cell.SerialInsSec = 1e9 / ns
-			} else {
-				cell.ShardedNsOp = ns
-				cell.ShardedInsSec = 1e9 / ns
-			}
-		}
-		cell.Speedup = cell.SerialNsOp / cell.ShardedNsOp
-		parallel = append(parallel, cell)
-	}
-	runtime.GOMAXPROCS(prev)
-
-	tab := rgma.MonitoringTable()
-	row := rgma.MonitoringRow(7, 3)
-	var preds []rgmaPredicateCell
-	for _, c := range rgmaPredicateCases() {
-		sel, err := rgma.ParseQuery(c.query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog := sel.Compiled(tab)
-		ri := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sqlmini.Matches(tab, sel, row)
-			}
-		})
-		rc := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				prog.Matches(row)
-			}
-		})
-		cell := rgmaPredicateCell{
-			Query:         c.query,
-			InterpretedNs: float64(ri.T.Nanoseconds()) / float64(ri.N),
-			CompiledNs:    float64(rc.T.Nanoseconds()) / float64(rc.N),
-		}
-		cell.Speedup = cell.InterpretedNs / cell.CompiledNs
-		preds = append(preds, cell)
-	}
-
-	// Insert→deliver latency, the paper's push-vs-poll measurement: the
-	// HTTP lane polls at the paper's 100 ms subscriber period, the
-	// binary lane receives server pushes. Both run over live TCP.
-	const latSamples = 40
-	pollInterval := 100 * time.Millisecond
-	httpLat := measureInsertDeliverLatency(t, "http", latSamples, 5*time.Millisecond, pollInterval)
-	binLat := measureInsertDeliverLatency(t, "bin", latSamples, 5*time.Millisecond, pollInterval)
-	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-	httpCell := rgmaTransportCell{
-		Transport: "http", Mode: "poll", PollMs: ms(pollInterval),
-		MedianMs: ms(latencyQuantile(httpLat, 0.5)),
-		P99Ms:    ms(latencyQuantile(httpLat, 0.99)),
-		Samples:  len(httpLat),
-	}
-	binCell := rgmaTransportCell{
-		Transport: "bin", Mode: "push",
-		MedianMs: ms(latencyQuantile(binLat, 0.5)),
-		P99Ms:    ms(latencyQuantile(binLat, 0.99)),
-		Samples:  len(binLat),
-	}
-	binCell.SpeedupMed = httpCell.MedianMs / binCell.MedianMs
-	if binCell.SpeedupMed < 10 {
-		t.Errorf("binary push median %.3f ms is only %.1fx below the %v-poll median %.3f ms, want >= 10x",
-			binCell.MedianMs, binCell.SpeedupMed, pollInterval, httpCell.MedianMs)
-	}
-
-	doc := map[string]any{
-		"benchmark":   "R-GMA service stack: sharded lock domains vs the seed's global server mutex (8 lanes of insert+continuous pop through the HTTP handler), compiled vs interpreted WHERE predicates, and insert-to-deliver latency of the push binary transport vs the paper's 100 ms HTTP poll",
-		"description": "ns per insert includes JSON decode, SQL parse, typed store insert, compiled-predicate streaming to the lane's continuous consumer, and a pop drain every 32 inserts. Speedup above 1x requires real cores: on a single-core host all GOMAXPROCS values time-share one CPU and the sharded and serial figures converge. transport_latency times tuples end to end over live TCP: a polled tuple waits for the next consumer poll, a pushed tuple is written to subscribed connections on the insert path.",
-		"host_cpus":   runtime.NumCPU(),
-		"parallel":    parallel,
-		"predicate":   preds,
-		"transport_latency": []rgmaTransportCell{
-			httpCell, binCell,
-		},
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		t.Fatal(err)
 	}
 }
